@@ -39,6 +39,7 @@ from .thickness import (
     injectivity_radius,
     minrad,
     radius_via_tc,
+    thickness_at_least,
     thickness_value,
 )
 from .moves import (

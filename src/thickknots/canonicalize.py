@@ -870,18 +870,19 @@ def _quad_root_search(K, quad, reg, th0, count0, regular_count):
             continue
         for q in range(4):
             if g[q] * g0[q] <= 0.0:
-                # bisect this bracket for this angle
-                a_t, b_t = prev_t, float(t)
+                # bisect this bracket for this angle; gb is b_t's deviation
+                # (None where that probe was unusable)
+                a_t, b_t, gb = prev_t, float(t), g
                 for _ in range(200):
                     if b_t - a_t < 1e-15:
                         break
                     m_t = 0.5 * (a_t + b_t)
                     gm = tracked_dev(m_t)
                     if gm is None or gm[q] * g0[q] <= 0.0:
-                        b_t = m_t
+                        b_t, gb = m_t, gm
                     else:
                         a_t = m_t
-                    if abs(tracked_dev(b_t)[q]) < EPS_ANGLE / 8:
+                    if gb is not None and abs(gb[q]) < EPS_ANGLE / 8:
                         break
                 # a flap fold switching branch makes the angle jump across
                 # regular without attaining it; only roots whose polygon

@@ -65,7 +65,7 @@ def _cmd_sample(args):
         seed=args.seed,
         steps=args.steps,
         N=args.cap,
-        p=args.cont_prob,
+        p=None if args.cont_prob is None else (args.cont_prob,) * args.cap,
         burn_in=args.burn_in,
         stride=args.stride,
     )

@@ -13,15 +13,18 @@ empirical properties of this chain.
 
 from __future__ import annotations
 
+import functools
+import threading
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, IntegrityFailure, TooFewSamples, DegenerateAxis
 from .moves import ReflectionMove, apply_reflection
 from .polygon import KnotPolygon, regular_polygon, validate_polygon
-from .thickness import thickness_value
+from .thickness import thickness_at_least, thickness_value
 
 AUDIT_INTERVAL = 10_000   # accepted moves between integrity audits
 EDGE_DRIFT_TOL = 1e-8
@@ -63,18 +66,13 @@ class ChainConfig:
             )
 
 
-@dataclass(frozen=True)
-class NoiseRecord:
-    """One rectangle point: x carries the rectangle index in its integer
-    part and the continuation variable a in its fractional part."""
+class NoiseRecord(NamedTuple):
+    """One slot of a step's noise: the continuation variable a, the
+    reflection angle, and the vertex pair (i, j) with i < j."""
 
-    x: float
+    a: float
     theta: float
     pair: tuple
-
-    @property
-    def a(self):
-        return self.x - np.floor(self.x)
 
 
 @dataclass(frozen=True)
@@ -84,40 +82,68 @@ class NoiseDraw:
 
 @dataclass
 class StepOutcome:
+    """Result of one chain step.  `thickness_after` is thickness_value(state),
+    computed on first read and cached: the accept test never needs it."""
+
     accepted: bool
     m: int
-    thickness_after: float
     state: KnotPolygon
+    _thickness: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def thickness_after(self) -> float:
+        if self._thickness is None:
+            self._thickness = thickness_value(self.state)
+        return self._thickness
 
 
-def _pair_from_rank(r, n):
-    """(i, j) with i < j from a flat rank over the n(n-1)/2 pairs."""
-    i = 0
-    row = n - 1
-    while r >= row:
-        r -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + r
+@functools.lru_cache(maxsize=32)
+def _pair_table(n):
+    """(i, j) by flat rank over the n(n-1)/2 pairs, in np.triu_indices order."""
+    i, j = np.triu_indices(n, 1)
+    return tuple(zip(i.tolist(), j.tolist()))
+
+
+class _PhiloxSlot(threading.local):
+    """One Philox generator per thread, built on first use.  `keyed`
+    overwrites its whole state (key, counter, buffer) on every call, so the
+    draws depend on (seed, step) alone; reusing it avoids constructing a
+    generator per step, which also pulls OS entropy for a seed sequence that
+    a keyed Philox never uses."""
+
+    gen = None
+
+    def keyed(self, seed, step):
+        if not 0 <= seed < 1 << 128:
+            raise ValueError(f"chain seed {seed} is outside [0, 2**128)")
+        if self.gen is None:
+            self.bits = np.random.Philox(key=0)
+            self.gen = np.random.Generator(self.bits)
+            self.state = self.bits.state  # fresh: empty buffer, no cached uint32
+        key, counter = self.state["state"]["key"], self.state["state"]["counter"]
+        key[0], key[1] = seed & _WORD, seed >> 64
+        counter[0] = step
+        self.bits.state = self.state
+        return self.gen
+
+
+_PHILOX = _PhiloxSlot()
+_WORD = (1 << 64) - 1
 
 
 def draw_noise(cfg: ChainConfig, step: int) -> NoiseDraw:
     """Noise for one step from a counter-based generator: the key is the
     chain seed and the counter is the step index, so any step can be
     regenerated independently.  Slot order within a step is fixed."""
-    bits = np.random.Philox(key=cfg.seed, counter=[step, 0, 0, 0])
-    gen = np.random.Generator(bits)
-    n = cfg.n
-    npairs = n * (n - 1) // 2
-    ranks = gen.integers(npairs, size=cfg.N)
-    avals = gen.random(cfg.N)
-    thetas = gen.uniform(0.0, 2.0 * np.pi, size=cfg.N)
-    records = []
-    for k in range(cfg.N):
-        i, j = _pair_from_rank(int(ranks[k]), n)
-        x = 2.0 * (n * i + j) + float(avals[k])
-        records.append(NoiseRecord(x=x, theta=float(thetas[k]), pair=(i, j)))
-    return NoiseDraw(records=tuple(records))
+    gen = _PHILOX.keyed(int(cfg.seed), step)
+    n, N = cfg.n, cfg.N
+    ranks = gen.integers(n * (n - 1) // 2, size=N).tolist()
+    avals = gen.random(N).tolist()
+    thetas = gen.uniform(0.0, 2.0 * np.pi, size=N).tolist()
+    pairs = _pair_table(n)
+    return NoiseDraw(records=tuple(
+        NoiseRecord(a, theta, pairs[r]) for r, a, theta in zip(ranks, avals, thetas)
+    ))
 
 
 def decode_noise(d: NoiseDraw, p):
@@ -135,34 +161,29 @@ def decode_noise(d: NoiseDraw, p):
     return m, moves
 
 
-def chain_step(K: KnotPolygon, d: NoiseDraw, cfg: ChainConfig,
-               th_current: float = None) -> StepOutcome:
+def chain_step(K: KnotPolygon, d: NoiseDraw, cfg: ChainConfig) -> StepOutcome:
     """Apply the decoded batch with a single thickness check at the end.
 
     A degenerate reflection axis (coincident vertices mid-batch) counts as a
     rejection; it has measure zero but singular states make it reachable.
-
-    `th_current`, when given, must equal thickness_value(K); it lets the
-    caller skip recomputing the unchanged state's thickness on empty batches
-    and rejections.
+    At t = 0 a batch without a degenerate axis is accepted without computing
+    thickness (an equilateral polygon's thickness is never negative); for
+    t > 0 the check is `thickness_at_least`, which stops at the first class
+    (minrad or a pair class) that breaks the bound.  Neither fills
+    `thickness_after`, which is computed only when read.
     """
     m, moves = decode_noise(d, cfg.p)
-
-    def th_K():
-        return thickness_value(K) if th_current is None else th_current
-
     if m == 0:
-        return StepOutcome(True, 0, th_K(), K)
+        return StepOutcome(True, 0, K)
     state = K
     try:
         for mv in moves:
             state = apply_reflection(state, mv)
     except DegenerateAxis:
-        return StepOutcome(False, m, th_K(), K)
-    th = thickness_value(state)
-    if th >= cfg.t:
-        return StepOutcome(True, m, th, state)
-    return StepOutcome(False, m, th_K(), K)
+        return StepOutcome(False, m, K)
+    if cfg.t == 0 or thickness_at_least(state, cfg.t):
+        return StepOutcome(True, m, state)
+    return StepOutcome(False, m, K)
 
 
 def renormalize(K: KnotPolygon, iters: int = 50) -> KnotPolygon:
@@ -214,7 +235,7 @@ class Chain:
             raise IntegrityFailure(
                 f"edge drift {new_drift:g} persists after renormalization"
             )
-        if thickness_value(R) >= self.cfg.t - 1e-12:
+        if thickness_at_least(R, self.cfg.t - 1e-12):
             self.state = R
             return drift
         # renormalization broke the bound: keep the original state if it is
@@ -231,21 +252,18 @@ class Chain:
     def run(self):
         """Yield (step index, polygon, StepOutcome) for every emitted sample."""
         cfg = self.cfg
-        th = thickness_value(self.state)
         for step in range(cfg.steps):
             d = draw_noise(cfg, step)
-            out = chain_step(self.state, d, cfg, th)
+            out = chain_step(self.state, d, cfg)
             self.m_histogram[out.m] += 1
             if out.accepted:
                 self.accepted += 1
                 self.state = out.state
-                th = out.thickness_after
                 self._since_audit += 1
                 if self._since_audit >= AUDIT_INTERVAL:
                     self._since_audit = 0
                     self._audit()
-                    out.state = self.state
-                    th = thickness_value(self.state)
+                    out = StepOutcome(True, out.m, self.state)
             else:
                 self.rejected += 1
             if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.stride == 0:

@@ -44,10 +44,16 @@ def minrad(K: KnotPolygon):
     Straight vertices (interior angle pi) impose no constraint and are
     excluded from the minimum.
     """
-    ang = interior_angles(K)
-    vals = np.where(ang >= np.pi - 1e-12, np.inf, 0.5 * np.tan(ang / 2.0))
+    vals = _curvature_radii(K)
     k = int(np.argmin(vals))
     return float(vals[k]), k
+
+
+def _curvature_radii(K: KnotPolygon):
+    """Per-vertex curvature radius tan(theta_v / 2) / 2, inf at straight
+    vertices."""
+    ang = interior_angles(K)
+    return np.where(ang >= np.pi - 1e-12, np.inf, 0.5 * np.tan(ang / 2.0))
 
 
 def _vertex_vertex_candidates(V, fwd=None, bwd=None):
@@ -182,23 +188,23 @@ def doubly_critical_pairs(K: KnotPolygon):
     return pairs
 
 
-def _dcsd_value(V):
-    """Fast minimal doubly-critical distance (inf when no pair exists)."""
-    best = np.inf
+def _pair_class_minima(V):
+    """Smallest doubly-critical distance of each pair class that has a
+    candidate, computed lazily in the order vertex-vertex, vertex-edge,
+    edge-edge, parallel edge-edge, so a caller can stop after any class."""
     fwd = np.roll(V, -1, axis=0) - V
     bwd = np.roll(V, 1, axis=0) - V
     mask, dist = _vertex_vertex_candidates(V, fwd, bwd)
     if mask.any():
-        best = min(best, float(dist[mask].min()))
+        yield float(dist[mask].min())
     mask, _, dist = _vertex_edge_candidates(V, fwd, bwd)
     if mask.any():
-        best = min(best, float(dist[mask].min()))
+        yield float(dist[mask].min())
     mask, _, _, dist, parallel = _edge_edge_candidates(V, fwd)
     if mask.any():
-        best = min(best, float(dist[mask].min()))
+        yield float(dist[mask].min())
     for _, _, _, _, d in parallel:
-        best = min(best, d)
-    return best
+        yield d
 
 
 def injectivity_radius(K: KnotPolygon) -> ThicknessReport:
@@ -226,15 +232,26 @@ def injectivity_radius(K: KnotPolygon) -> ThicknessReport:
 
 
 def thickness_value(K: KnotPolygon) -> float:
-    """Thickness only, skipping witness construction (chain hot path)."""
-    V = K.vertices
-    ang = interior_angles(K)
-    vals = np.where(ang >= np.pi - 1e-12, np.inf, 0.5 * np.tan(ang / 2.0))
-    r = float(np.min(vals))
-    dcsd = _dcsd_value(V)
+    """Thickness only, skipping witness construction."""
+    r = float(np.min(_curvature_radii(K)))
+    dcsd = min(_pair_class_minima(K.vertices), default=np.inf)
     if np.isfinite(dcsd):
         r = min(r, dcsd / 2.0)
     return r / K.n
+
+
+def thickness_at_least(K: KnotPolygon, t: float) -> bool:
+    """Exactly ``thickness_value(K) >= t``, stopping at the first of minrad,
+    vertex-vertex, vertex-edge and edge-edge whose minimum breaks the bound
+    (the chain's accept test).
+
+    Halving and division by n are correctly rounded and hence monotone, so
+    they commute with min: comparing each class's (d / 2) / n with t gives
+    the same answer as comparing the overall minimum.
+    """
+    n = K.n
+    return (float(np.min(_curvature_radii(K))) / n >= t
+            and all((d / 2.0) / n >= t for d in _pair_class_minima(K.vertices)))
 
 
 # ---------------------------------------------------------------------------

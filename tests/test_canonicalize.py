@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from thickknots.canonicalize import (
     mu,
     regularize,
 )
-from thickknots.errors import AlreadyRegular
+from thickknots.errors import AlreadyRegular, NotCoplanarizable
 from thickknots.moves import ReflectionMove, apply_reflection
 from thickknots.polygon import interior_angles, regular_angle, regular_polygon, validate_polygon
 from thickknots.thickness import thickness_value
@@ -126,4 +128,30 @@ def test_canonicalize_folded_regular_polygon():
 def test_canonicalize_larger_polygon():
     K0 = random_equilateral(10, 77)
     trace = canonicalize(K0)
+    assert trace.final_rms <= 1e-6
+
+
+def test_root_search_survives_an_unusable_bisection_probe(monkeypatch):
+    # make the first midpoint of the angle bisection an unusable probe: the
+    # bracket end moves there, and the search must go on without reading a
+    # deviation for it
+    canon = sys.modules["thickknots.canonicalize"]
+    real = canon.apply_hextuple
+    unusable = []
+
+    def flaky(K, quad, theta):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "probe":
+            search = frame
+            while search.f_code.co_name != "_quad_root_search":
+                search = search.f_back
+            if not unusable and search.f_locals.get("m_t") == theta:
+                unusable.append(theta)
+            if theta in unusable:
+                raise NotCoplanarizable(float("nan"), "injected")
+        return real(K, quad, theta)
+
+    monkeypatch.setattr(canon, "apply_hextuple", flaky)
+    trace = canonicalize(random_equilateral(6, 8))
+    assert unusable
     assert trace.final_rms <= 1e-6

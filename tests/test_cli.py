@@ -143,3 +143,21 @@ def test_bad_chain_config_is_usage_error(capsys):
     code, _, _ = run(capsys, "sample", "--n", "2", "--thickness", "0",
                      "--steps", "1")
     assert code == 1
+
+
+def test_sample_cont_prob_sets_every_slot(capsys, tmp_path):
+    # 0.5 is the default for every slot, so the runs must agree
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    argv = ["sample", "--n", "10", "--thickness", "0", "--steps", "10", "--out"]
+    assert main(argv + [str(a), "--cont-prob", "0.5"]) == 0
+    assert main(argv + [str(b)]) == 0
+    capsys.readouterr()
+    assert len(read_records(str(a))) == 10
+    assert a.read_text() == b.read_text()
+
+
+def test_sample_cont_prob_out_of_range_is_usage_error(capsys):
+    code, _, err = run(capsys, "sample", "--n", "10", "--thickness", "0",
+                       "--steps", "10", "--cont-prob", "1.5")
+    assert code == 1
+    assert "continuation probabilities" in err

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from thickknots import mcmc
 from thickknots.errors import ConfigError, TooFewSamples
 from thickknots.mcmc import (
     Chain,
@@ -39,6 +42,13 @@ def test_noise_is_a_pure_function_of_seed_and_step():
     assert draw_noise(cfg, 8) != d1
     cfg2 = ChainConfig(n=8, t=0.0, seed=43, steps=10)
     assert draw_noise(cfg2, 7) != d1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_noise_rejects_a_seed_outside_the_philox_key_range(seed):
+    cfg = ChainConfig(n=8, t=0.0, seed=seed, steps=1)
+    with pytest.raises(ValueError):
+        draw_noise(cfg, 0)
 
 
 def test_noise_records_are_well_formed():
@@ -82,6 +92,45 @@ def test_accepted_states_meet_the_bound():
         if out.accepted:
             assert out.thickness_after >= cfg.t - 1e-12
         assert thickness_value(K) >= cfg.t - 1e-12
+
+
+# sha256 over the emitted vertex arrays (float64, little-endian) of fixed-seed
+# 2,000-step chains; a change to the noise, the moves or the accept test that
+# alters any trajectory moves these digests
+GOLDEN_CHAINS = [
+    (10, 0.0, 101, "0e2e8351cc923a5bbeeb17a3831fe743ba496d4354b8a9c8a0417043ce4e315e"),
+    (10, 0.01, 102, "f54ac92d53e9e49fd20ce0f0404f1a6874a66d8a92001f53f351ba16bd149a86"),
+    (32, 0.02, 103, "28b3c732eaba6dcb4bb14016872a5e79329f2fc591e2cb977262a2e508474431"),
+]
+
+
+@pytest.mark.parametrize("n,t,seed,digest", GOLDEN_CHAINS)
+def test_chain_matches_golden_digest(n, t, seed, digest):
+    h = hashlib.sha256()
+    for _, K, _ in run_chain(ChainConfig(n=n, t=t, seed=seed, steps=2000)):
+        h.update(np.ascontiguousarray(K.vertices, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_t0_chain_computes_no_thickness(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mcmc, "thickness_value", counting(mcmc.thickness_value))
+    monkeypatch.setattr(mcmc, "thickness_at_least", counting(mcmc.thickness_at_least))
+    monkeypatch.setattr(mcmc, "AUDIT_INTERVAL", 500)
+    ch = Chain(ChainConfig(n=10, t=0.0, seed=8, steps=2000))
+    outs = [out for _, _, out in ch.run()]
+    # the config's check on the regular polygon, then one query per audit
+    assert ch.audits >= 3
+    assert calls == ["thickness_value"] + ["thickness_at_least"] * ch.audits
+    for out in outs[::97]:
+        assert out.thickness_after == thickness_value(out.state)
 
 
 def test_chain_is_reproducible():

@@ -11,6 +11,7 @@ from thickknots.thickness import (
     injectivity_radius,
     minrad,
     radius_via_tc,
+    thickness_at_least,
     thickness_value,
 )
 
@@ -159,6 +160,29 @@ def test_thickness_value_matches_report():
         K = random_equilateral(7, seed)
         assert np.isclose(thickness_value(K), injectivity_radius(K).thickness,
                           atol=1e-14)
+
+
+def _threshold_cases():
+    cases = [pytest.param(random_equilateral(n, seed), id=f"random-{n}-{seed}")
+             for n in (4, 6, 10, 32) for seed in range(4)]
+    # even regular polygons have parallel opposite edges
+    cases += [pytest.param(regular_polygon(n), id=f"regular-{n}") for n in (10, 32)]
+    # on these moved squares the parallel sides' distance undercuts the
+    # corners' curvature radius by an ulp, so the parallel branch decides
+    for seed in (17, 18, 24):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V = regular_polygon(4).vertices @ q.T + rng.standard_normal(3)
+        cases.append(pytest.param(validate_polygon(V), id=f"moved-square-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("K", _threshold_cases())
+def test_thickness_at_least_is_exactly_the_comparison(K):
+    th = thickness_value(K)
+    for t in (th, np.nextafter(th, -np.inf), np.nextafter(th, np.inf),
+              0.0, 0.5 * th, 2.0 * th):
+        assert thickness_at_least(K, t) == (thickness_value(K) >= t), t
 
 
 @settings(deadline=None, max_examples=20)
