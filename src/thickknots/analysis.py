@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoGenericProjection
+from .moves import _cross
 from .polygon import EPS_GEOM, KnotPolygon
 
 MAX_PROJECTION_TRIES = 64
@@ -30,7 +31,7 @@ def _projection_frame(direction):
         ref = np.array([0.0, 1.0, 0.0])
     b1 = ref - np.dot(ref, d) * d
     b1 /= np.linalg.norm(b1)
-    b2 = np.cross(d, b1)
+    b2 = _cross(d, b1)
     return b1, b2, d
 
 

@@ -36,6 +36,7 @@ from .moves import (
     ReflectionMove,
     _arc_interior,
     _axis_frame,
+    _cross,
     apply_arc_rotation,
     apply_hextuple,
     apply_reflection,
@@ -427,7 +428,7 @@ def pushout_move(K: KnotPolygon):
         u3 = np.array([d2[0], d2[1], 0.0])
         nu = np.array([-d2[1], d2[0], 0.0])
         zhat = np.array([0.0, 0.0, 1.0])
-        beta = float(np.arctan2(np.dot(np.cross(nu, zhat), u3), np.dot(nu, zhat)))
+        beta = float(np.arctan2(np.dot(_cross(nu, zhat), u3), np.dot(nu, zhat)))
         centroid = V.mean(axis=0)
         return RigidRotation(tuple(centroid), tuple(u3), beta)
 
@@ -508,7 +509,7 @@ def pushout_move(K: KnotPolygon):
                 tilt = theta_min / 2.0
                 for _ in range(8):
                     mdir = np.cos(tilt) * b_down + np.sin(tilt) * n_in3
-                    nrm = np.cross(u, mdir)
+                    nrm = _cross(u, mdir)
                     nrm = nrm / np.linalg.norm(nrm)
                     move = TiltReflection(va, vb, tuple(nrm))
                     K2 = apply_move(K, move)
@@ -583,7 +584,7 @@ def _flatten_arc_step(K, M):
     zhat = np.array([0.0, 0.0, 1.0])
     b_vert = zhat - float(np.dot(zhat, u)) * u
     b_vert /= np.linalg.norm(b_vert)
-    b_hor = np.cross(u, b_vert)
+    b_hor = _cross(u, b_vert)
     r = V[arc] - V[a]
     r = r - (r @ u)[:, None] * u
     side = float(np.sum(r @ b_hor))
@@ -668,67 +669,16 @@ def flatten(K: KnotPolygon):
 # regularize
 
 
-def choose_four_vertices(K: KnotPolygon):
-    """Quadruple (v1, w1, v2, w2) in cyclic order with v's smaller and w's
-    larger than the regular angle, built as in the existence proof: v1 and
-    w1 separated only by regular vertices, w2 the nearest large vertex on
-    the other side of v1, v2 any small vertex in the remaining arc."""
-    n = K.n
-    ang = interior_angles(K)
-    reg = regular_angle(n)
-    dev = ang - reg
-    small = dev < -EPS_ANGLE
-    large = dev > EPS_ANGLE
-    if not small.any() and not large.any():
-        raise AlreadyRegular("all interior angles regular within tolerance")
-    if not small.any() or not large.any():
-        raise PipelineStall("regularize", "one-sided angle deviations")
-
-    v1 = w1 = None
-    for k in range(n):
-        if not small[k]:
-            continue
-        for t in range(1, n):
-            m = (k + t) % n
-            if large[m]:
-                v1, w1 = k, m
-                break
-            if small[m]:
-                break
-        if v1 is not None:
-            break
-    if v1 is None:
-        raise PipelineStall("regularize", "no small vertex adjoins a large one")
-
-    w2 = None
-    for t in range(1, n):
-        m = (v1 - t) % n
-        if m == w1:
-            break
-        if large[m]:
-            w2 = m
-            break
-    if w2 is None:
-        raise PipelineStall("regularize", "no second large vertex")
-
-    v2 = None
-    for t in range(1, n):
-        m = (w1 + t) % n
-        if m == w2:
-            break
-        if small[m]:
-            v2 = m
-            break
-    if v2 is None:
-        raise PipelineStall("regularize", "no second small vertex")
-    return v1, w1, v2, w2
-
-
 def _candidate_quads(K: KnotPolygon):
     """Every quadruple the existence-proof walk can produce, canonical one
     first: each small v1 whose forward gap to the next large w1 holds only
     regular vertices, combined with each large w2 backward of v1 and each
-    small v2 between w1 and w2."""
+    small v2 between w1 and w2.
+
+    With no quadruple, the PipelineStall names the role missing for the
+    first small v1 that has a w1.  Such a v1 always exists once both kinds
+    do: walking back from a large vertex past regular and large ones, the
+    first small vertex met has a w1."""
     n = K.n
     dev = interior_angles(K) - regular_angle(n)
     small = dev < -EPS_ANGLE
@@ -738,6 +688,7 @@ def _candidate_quads(K: KnotPolygon):
     if not small.any() or not large.any():
         raise PipelineStall("regularize", "one-sided angle deviations")
     quads = []
+    first_w2s = None
     for v1 in range(n):
         if not small[v1]:
             continue
@@ -758,6 +709,8 @@ def _candidate_quads(K: KnotPolygon):
                 break
             if large[m]:
                 w2s.append(m)
+        if first_w2s is None:
+            first_w2s = w2s
         for w2 in w2s:
             for t in range(1, n):
                 m = (w1 + t) % n
@@ -766,8 +719,8 @@ def _candidate_quads(K: KnotPolygon):
                 if small[m]:
                     quads.append((v1, w1, m, w2))
     if not quads:
-        choose_four_vertices(K)  # raises with the specific missing role
-        raise PipelineStall("regularize", "no admissible quadruple")
+        missing = "small" if first_w2s else "large"
+        raise PipelineStall("regularize", f"no second {missing} vertex")
     return quads
 
 
@@ -778,7 +731,7 @@ def _quad_diagnostic(K, quad):
     e2 = V[v2] - V[w1]
     e3 = V[w2] - V[v2]
     e4 = V[v1] - V[w2]
-    return float(np.dot(np.cross(e1, e2), np.cross(e3, e4)))
+    return float(np.dot(_cross(e1, e2), _cross(e3, e4)))
 
 
 def _flat_convex(P, reg):
@@ -799,14 +752,19 @@ def _quad_root_search(K, quad, reg, th0, count0, regular_count):
     best convex thickness-safe point short of a switch (residual = its
     remaining max deviation)."""
     dev = interior_angles(K) - reg
+    probes = {}
 
     def probe(theta):
         # a fold can sweep v1 onto v2 (or degenerate the target plane) at
-        # isolated angles; those probes are simply not usable
-        try:
-            return apply_hextuple(K, quad, theta)
-        except (NotCoplanarizable, DegenerateAxis):
-            return None
+        # isolated angles; those probes are simply not usable.  Bracket
+        # ends, root candidates and fallbacks come back to the same theta,
+        # so each probe, usable or not, is computed once per search
+        if theta not in probes:
+            try:
+                probes[theta] = apply_hextuple(K, quad, theta)
+            except (NotCoplanarizable, DegenerateAxis):
+                probes[theta] = None
+        return probes[theta]
 
     # bracket the sign change of the quadrilateral diagnostic
     f0 = _quad_diagnostic(K, quad)

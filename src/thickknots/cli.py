@@ -73,11 +73,10 @@ def _cmd_sample(args):
     records = []
     stats = []
     for step, K, out in chain.run():
-        head = {"n": K.n, "seed": args.seed, "step": step,
-                "thickness": f"{thickness_value(K):.17g}"}
-        records.append(KnotRecord(K, head))
         if args.stats:
+            # the report's thickness is thickness_value(K), bit for bit
             rep = injectivity_radius(K)
+            th = rep.thickness
             stats.append({
                 "step": step,
                 "thickness": rep.thickness,
@@ -87,6 +86,10 @@ def _cmd_sample(args):
                 "accepted": int(out.accepted),
                 "m": out.m,
             })
+        else:
+            th = thickness_value(K)
+        head = {"n": K.n, "seed": args.seed, "step": step, "thickness": f"{th:.17g}"}
+        records.append(KnotRecord(K, head))
     write_knots(args.out, records)
     if args.stats:
         with open(args.stats, "w") as handle:

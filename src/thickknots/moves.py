@@ -10,6 +10,7 @@ quadrilateral diagonals under control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,27 @@ from .errors import DegenerateAxis, NotCoplanarizable
 from .polygon import KnotPolygon
 
 _EPS_AXIS = 1e-9
+
+
+def _cross(a, b):
+    """a x b for two single 3-vectors.
+
+    The same products and differences as np.cross, in the same order, so
+    the result is bit-identical; working on Python floats skips np.cross's
+    heavy per-call overhead.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(x):
+    """Euclidean length of a contiguous 1-D real vector, as a float.
+
+    This is what np.linalg.norm computes for such a vector, without its
+    argument handling.
+    """
+    return math.sqrt(x.dot(x))
 
 
 @dataclass(frozen=True)
@@ -43,7 +65,7 @@ def _axis_frame(vi, vj):
     nearly parallel to the axis, so the frame depends only on the axis.
     """
     d = vj - vi
-    norm = float(np.linalg.norm(d))
+    norm = _norm(d)
     if norm < _EPS_AXIS:
         raise DegenerateAxis(f"axis endpoints coincide (|v_j - v_i| = {norm:g})")
     u = d / norm
@@ -53,14 +75,8 @@ def _axis_frame(vi, vj):
         if abs(float(np.dot(e, u))) < 0.9:
             break
     b1 = e - float(np.dot(e, u)) * u
-    b1 = b1 / np.linalg.norm(b1)
-    # open-coded cross product: np.cross has heavy overhead on single vectors
-    b2 = np.array([
-        u[1] * b1[2] - u[2] * b1[1],
-        u[2] * b1[0] - u[0] * b1[2],
-        u[0] * b1[1] - u[1] * b1[0],
-    ])
-    return u, b1, b2
+    b1 = b1 / _norm(b1)
+    return u, b1, _cross(u, b1)
 
 
 def reflection_plane(K: KnotPolygon, i: int, j: int, theta: float):
@@ -135,9 +151,8 @@ def apply_arc_rotation(K: KnotPolygon, i: int, j: int, phi: float, alpha: float 
 
 
 def _plane_normal(p0, p1, p2):
-    nrm = np.cross(p1 - p0, p2 - p0)
-    mag = float(np.linalg.norm(nrm))
-    return nrm, mag
+    nrm = _cross(p1 - p0, p2 - p0)
+    return nrm, _norm(nrm)
 
 
 def _reflect_arc(v, idx, point, normal):
@@ -165,16 +180,16 @@ def apply_hextuple(K: KnotPolygon, quad, theta: float) -> KnotPolygon:
     # stage 1: reflect the arc w2 -> v1 -> w1 across a plane through the
     # line (w1, w2), tilted by theta; the lifted side is fixed to z >= 0
     axis = v[w2] - v[w1]
-    alen = float(np.linalg.norm(axis))
+    alen = _norm(axis)
     if alen < _EPS_AXIS:
         raise DegenerateAxis("hextuple axis w1 w2 degenerate")
     u = axis / alen
     h1 = zhat - float(np.dot(zhat, u)) * u
-    h1n = float(np.linalg.norm(h1))
+    h1n = _norm(h1)
     if h1n < _EPS_AXIS:
         raise DegenerateAxis("hextuple axis w1 w2 vertical")
     h1 /= h1n
-    h2 = np.cross(u, h1)
+    h2 = _cross(u, h1)
     arc1 = _arc_interior(n, w2, w1)
     chosen = None
     for sign in (1.0, -1.0):
@@ -199,17 +214,17 @@ def apply_hextuple(K: KnotPolygon, quad, theta: float) -> KnotPolygon:
     # stage 2: fold w2 (with the arc v2 -> w2 -> v1) about the line (v1, v2)
     # until w2 lands in the target plane
     axis2 = v[v2] - v[v1]
-    a2len = float(np.linalg.norm(axis2))
+    a2len = _norm(axis2)
     if a2len < _EPS_AXIS:
         raise DegenerateAxis("hextuple axis v1 v2 degenerate")
     u2 = axis2 / a2len
     f = v[v1] + float(np.dot(v[w2] - v[v1], u2)) * u2
     rvec = v[w2] - f
-    r = float(np.linalg.norm(rvec))
+    r = _norm(rvec)
     arc2 = _arc_interior(n, v2, v1)
     if r > _EPS_AXIS:
-        d = np.cross(n_pi, u2)
-        dn = float(np.linalg.norm(d))
+        d = _cross(n_pi, u2)
+        dn = _norm(d)
         if dn < 1e-12:
             raise NotCoplanarizable(dn)
         d /= dn
@@ -217,11 +232,11 @@ def apply_hextuple(K: KnotPolygon, quad, theta: float) -> KnotPolygon:
         if abs(ca[2] - cb[2]) > 1e-9:
             target = ca if ca[2] > cb[2] else cb
         else:  # z tie: the no-op direction wins (keeps T_0 the identity)
-            target = ca if np.linalg.norm(ca - v[w2]) <= np.linalg.norm(cb - v[w2]) else cb
+            target = ca if _norm(ca - v[w2]) <= _norm(cb - v[w2]) else cb
         delta = target - v[w2]
-        if float(np.linalg.norm(delta)) > 1e-12:
+        if _norm(delta) > 1e-12:
             # arc2 already contains w2 (it is strictly inside v2 -> v1)
-            nrm2 = delta / np.linalg.norm(delta)
+            nrm2 = delta / _norm(delta)
             _reflect_arc(v, arc2, v[v1], nrm2)
 
     # refresh the plane normal; w2 now lies in it up to roundoff
@@ -239,7 +254,7 @@ def apply_hextuple(K: KnotPolygon, quad, theta: float) -> KnotPolygon:
         if not idx:
             continue
         axis3 = v[qb] - v[qa]
-        a3len = float(np.linalg.norm(axis3))
+        a3len = _norm(axis3)
         if a3len < _EPS_AXIS:
             raise DegenerateAxis("hextuple flap chord degenerate")
         u3 = axis3 / a3len
@@ -248,21 +263,21 @@ def apply_hextuple(K: KnotPolygon, quad, theta: float) -> KnotPolygon:
         for k in idx:
             w = v[k] - v[qa]
             w = w - float(np.dot(w, u3)) * u3
-            wn = float(np.linalg.norm(w))
+            wn = _norm(w)
             if wn > 1e-9:
                 rq = w / wn
                 break
         if rq is None:
             continue  # flap collinear with its chord; nothing to fold
-        dpi = np.cross(n_pi, u3)
-        dn = float(np.linalg.norm(dpi))
+        dpi = _cross(n_pi, u3)
+        dn = _norm(dpi)
         if dn < 1e-12:
             raise NotCoplanarizable(dn)
         dpi /= dn
         best = None
         for d_target in (dpi, -dpi):
             nrm3 = rq - d_target
-            nn = float(np.linalg.norm(nrm3))
+            nn = _norm(nrm3)
             if nn < 1e-12:
                 moved = v[idx]
                 disp = 0.0
@@ -278,8 +293,8 @@ def apply_hextuple(K: KnotPolygon, quad, theta: float) -> KnotPolygon:
     centroid = 0.25 * (v[v1] + v[w1] + v[v2] + v[w2])
     c = float(np.dot(n_pi, zhat))
     if c < 1.0 - 1e-15:
-        axis_r = np.cross(n_pi, zhat)
-        an = float(np.linalg.norm(axis_r))
+        axis_r = _cross(n_pi, zhat)
+        an = _norm(axis_r)
         if an > 1e-15:
             angle = float(np.arctan2(an, c))
             v = rotate_points(v, centroid, axis_r / an, angle)

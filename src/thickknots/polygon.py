@@ -156,13 +156,14 @@ def regular_angle(n: int) -> float:
 def interior_angles(K: KnotPolygon) -> np.ndarray:
     """Interior angle at every vertex, in [0, pi]."""
     v = K.vertices
-    fwd = np.roll(v, -1, axis=0) - v
-    bwd = np.roll(v, 1, axis=0) - v
+    # np.roll(v, -1) and np.roll(v, 1), without np.roll's per-call overhead
+    fwd = np.concatenate((v[1:], v[:1])) - v
+    bwd = np.concatenate((v[-1:], v[:-1])) - v
     nf = np.linalg.norm(fwd, axis=1)
     nb = np.linalg.norm(bwd, axis=1)
     if np.any(nf < EPS_EDGE) or np.any(nb < EPS_EDGE):
         raise DegenerateAngle("zero-length edge")
-    cosang = np.sum(fwd * bwd, axis=1) / (nf * nb)
+    cosang = (fwd * bwd).sum(axis=1) / (nf * nb)
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
@@ -277,17 +278,6 @@ class Hull2D:
             lines.append((a, np.array([d[1], -d[0]])))  # outward for ccw
         return lines
 
-    def distance_to_boundary(self, p):
-        v = self.vertices
-        m = len(v)
-        if m == 1:
-            return float(np.linalg.norm(p - v[0]))
-        best = np.inf
-        for k in range(m if m > 2 else 1):
-            a, b = v[k], v[(k + 1) % m]
-            best = min(best, _point_segment_distance(p, a, b))
-        return float(best)
-
 
 def _point_segment_distance(p, a, b):
     d = b - a
@@ -296,6 +286,20 @@ def _point_segment_distance(p, a, b):
         return float(np.linalg.norm(p - a))
     t = np.clip(float(np.dot(p - a, d)) / den, 0.0, 1.0)
     return float(np.linalg.norm(p - (a + t * d)))
+
+
+def _boundary_distances(hull, pts):
+    """Distance from each point in pts (k, 2) to the boundary of the hull
+    with corners `hull` (m, 2) in order: one vectorized point-to-edge pass
+    (a single segment when m == 2, the corner itself when m == 1)."""
+    m = len(hull)
+    a = hull[: m if m > 2 else 1]
+    d = hull[(np.arange(len(a)) + 1) % m] - a
+    den = np.sum(d * d, axis=1)
+    w = pts[:, None, :] - a[None, :, :]
+    t = np.clip(np.sum(w * d, axis=2) / np.where(den < 1e-300, 1.0, den), 0.0, 1.0)
+    closest = a[None, :, :] + t[..., None] * d[None, :, :]
+    return np.min(np.linalg.norm(pts[:, None, :] - closest, axis=2), axis=1)
 
 
 def _point_line_distance(p, a, u):
@@ -324,7 +328,7 @@ def convex_hull_2d(points) -> Hull2D:
 
     if len(P) == 1:
         verts = P.copy()
-        bmask = np.array([np.linalg.norm(p - P[0]) <= EPS_GEOM for p in pts])
+        bmask = _boundary_distances(verts, pts) <= EPS_GEOM
         extra = np.array([k for k in range(n) if bmask[k]
                           and np.linalg.norm(pts[k] - P[0]) > 1e-300], dtype=int)
         return Hull2D(verts, bmask, extra, True, pts)
@@ -359,16 +363,7 @@ def convex_hull_2d(points) -> Hull2D:
                 break
         hull = hull[keep]
 
-    h = Hull2D(hull, None, None, len(hull) <= 2, pts)
-    bmask = np.array([h.distance_to_boundary(p) <= EPS_GEOM for p in pts])
-    corner = np.zeros(n, dtype=bool)
-    for k in range(n):
-        if bmask[k]:
-            d = np.linalg.norm(hull - pts[k], axis=1)
-            if np.min(d) <= EPS_GEOM:
-                corner[k] = True
-    h.boundary_mask = bmask
-    h.collinear_boundary = np.array(
-        [k for k in range(n) if bmask[k] and not corner[k]], dtype=int
-    )
-    return h
+    bmask = _boundary_distances(hull, pts) <= EPS_GEOM
+    corner_dist = np.linalg.norm(hull[None, :, :] - pts[:, None, :], axis=2)
+    corner = bmask & (np.min(corner_dist, axis=1) <= EPS_GEOM)
+    return Hull2D(hull, bmask, np.flatnonzero(bmask & ~corner), len(hull) <= 2, pts)

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import struct
 import sys
 
 import numpy as np
@@ -12,7 +15,7 @@ from thickknots.canonicalize import (
     mu,
     regularize,
 )
-from thickknots.errors import AlreadyRegular, NotCoplanarizable
+from thickknots.errors import AlreadyRegular, NotCoplanarizable, PipelineStall
 from thickknots.moves import ReflectionMove, apply_reflection
 from thickknots.polygon import interior_angles, regular_angle, regular_polygon, validate_polygon
 from thickknots.thickness import thickness_value
@@ -155,3 +158,98 @@ def test_root_search_survives_an_unusable_bisection_probe(monkeypatch):
     trace = canonicalize(random_equilateral(6, 8))
     assert unusable
     assert trace.final_rms <= 1e-6
+
+
+# sha256 over the final vertices (float64, little-endian) and, per trace
+# entry, the thickness before and after (two little-endian doubles) and the
+# UTF-8 description; any change to a move, a search or a tie-break that
+# alters a canonicalization moves these digests
+GOLDEN_CANONICALIZATIONS = [
+    (6, 5, "4e3b9a3733211cbae0705a1802835662a880b22470650c899be438e21bc06183"),
+    (6, 6, "ebde9829aaf23f479c7003afb25d182676fa6343e890d1743b2f8bc85fa65005"),
+    (6, 7, "ef926147d4c8f1d443cf87b5b370622e284bef45f14403b377008d62ba31f7f8"),
+    (6, 8, "d9de29cea41a080ed952e6bd7541afd5690f19b968120eac48cc313aa3b1a726"),
+    (6, 9, "4eac34c2fd0ac60d27236e78c37be18b6b82e80b0f5b54dee75993020128e385"),
+    (20, 6, "ba27b257adcb41a70019eee5d6a05adf773ad6fc2b1b857a6bbdcef03efa544a"),
+    (10, 77, "912aaec3a7ac9e59749884aaf9baa2a91b1720c2b6251bfca898deff0ac8336e"),
+]
+
+
+@pytest.mark.parametrize("n,seed,digest", GOLDEN_CANONICALIZATIONS)
+def test_canonicalize_matches_golden_digest(n, seed, digest):
+    trace = canonicalize(random_equilateral(n, seed))
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(trace.final.vertices, dtype="<f8").tobytes())
+    for e in trace.entries:
+        h.update(struct.pack("<dd", e.thickness_before, e.thickness_after))
+        h.update(e.description.encode())
+    assert h.hexdigest() == digest
+
+
+def test_root_search_probes_each_theta_once(monkeypatch):
+    canon = sys.modules["thickknots.canonicalize"]
+    real_hextuple = canon.apply_hextuple
+    real_search = canon._quad_root_search
+    searches = []
+    active = []
+
+    def recording_hextuple(K, quad, theta):
+        if active:
+            active[-1].append(float(theta))
+        return real_hextuple(K, quad, theta)
+
+    def recording_search(*args):
+        thetas = []
+        searches.append(thetas)
+        active.append(thetas)
+        try:
+            return real_search(*args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(canon, "apply_hextuple", recording_hextuple)
+    monkeypatch.setattr(canon, "_quad_root_search", recording_search)
+    trace = canonicalize(random_equilateral(6, 9))
+    assert trace.final_rms <= 1e-6
+    assert sum(len(thetas) for thetas in searches) > 1000
+    for thetas in searches:
+        assert len(thetas) == len(set(thetas))
+
+
+def _quads_for_signs(monkeypatch, signs):
+    # stand the angle deviations in by a sign pattern: -1 small, +1 large
+    canon = sys.modules["thickknots.canonicalize"]
+    n = len(signs)
+    reg = regular_angle(n)
+    angles = reg + 1e-3 * np.asarray(signs, dtype=float)
+    monkeypatch.setattr(canon, "interior_angles", lambda K: angles)
+    return canon._candidate_quads(regular_polygon(n))
+
+
+def test_candidate_quads_stall_names_a_missing_second_large_vertex(monkeypatch):
+    with pytest.raises(PipelineStall, match="no second large vertex"):
+        _quads_for_signs(monkeypatch, [-1, 1, 0, 0, -1, 0])
+
+
+def test_candidate_quads_stall_names_a_missing_second_small_vertex(monkeypatch):
+    with pytest.raises(PipelineStall, match="no second small vertex"):
+        _quads_for_signs(monkeypatch, [-1, 1, 0, 1, 0, 0])
+
+
+def test_candidate_quads_always_find_a_first_pair(monkeypatch):
+    # once small and large vertices both exist, some small v1 reaches a
+    # large w1 past regular vertices only, so a stall can only name a
+    # missing second vertex
+    stalls = set()
+    for signs in itertools.product((-1, 0, 1), repeat=6):
+        if -1 not in signs or 1 not in signs:
+            continue
+        try:
+            quads = _quads_for_signs(monkeypatch, signs)
+        except PipelineStall as exc:
+            stalls.add(str(exc).split(": ", 1)[1])
+        else:
+            for v1, w1, v2, w2 in quads:
+                assert signs[v1] == signs[v2] == -1
+                assert signs[w1] == signs[w2] == 1
+    assert stalls == {"no second large vertex", "no second small vertex"}

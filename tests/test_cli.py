@@ -54,6 +54,16 @@ def test_sample_writes_records_and_stats(capsys, tmp_path):
     assert {"step", "thickness", "minrad", "dcsd", "rg2", "accepted", "m"} <= set(stats[0])
 
 
+def test_sample_stats_leaves_knot_file_unchanged(capsys, tmp_path):
+    plain, with_stats = tmp_path / "plain.txt", tmp_path / "with_stats.txt"
+    argv = ["sample", "--n", "10", "--thickness", "0.02", "--steps", "200",
+            "--stride", "10", "--seed", "2", "--out"]
+    assert run(capsys, *argv, str(plain))[0] == 0
+    assert run(capsys, *argv, str(with_stats),
+               "--stats", str(tmp_path / "stats.txt"))[0] == 0
+    assert plain.read_bytes() == with_stats.read_bytes()
+
+
 def test_sample_is_reproducible(capsys, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     argv = ["sample", "--n", "6", "--thickness", "0.0", "--steps", "30",

@@ -6,6 +6,8 @@ from conftest import random_convex_planar, random_equilateral
 from thickknots.errors import DegenerateAxis
 from thickknots.moves import (
     ReflectionMove,
+    _cross,
+    _norm,
     apply_arc_rotation,
     apply_hextuple,
     apply_reflection,
@@ -182,3 +184,11 @@ def test_thickness_drops_only_when_polygon_degenerates():
     t0 = thickness_value(K)
     K2 = apply_reflection(K, ReflectionMove(0, 6, 1.0))
     assert thickness_value(K2) < t0
+
+
+def test_cross_and_norm_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        a, b = rng.standard_normal((2, 3)) * 10.0 ** rng.integers(-8, 9, (2, 1))
+        assert np.array_equal(_cross(a, b), np.cross(a, b))
+        assert _norm(a) == np.linalg.norm(a)

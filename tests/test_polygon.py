@@ -9,6 +9,8 @@ from thickknots.errors import (
     TooFewVertices,
 )
 from thickknots.polygon import (
+    EPS_GEOM,
+    _point_segment_distance,
     angle_class,
     convex_hull_2d,
     interior_angles,
@@ -125,6 +127,54 @@ def test_hull_boundary_matches_oracle(seed):
     hull = convex_hull_2d(pts)
     oracle = _hull_oracle(pts)
     assert np.array_equal(hull.boundary_mask, oracle)
+
+
+def _per_point_boundary(hull, pts):
+    """The boundary mask and the non-corner boundary points, one point and
+    one hull edge at a time."""
+    v = hull.vertices
+    m = len(v)
+    mask, collinear = [], []
+    for k, p in enumerate(pts):
+        if m == 1:
+            d = float(np.linalg.norm(p - v[0]))
+        else:
+            d = min(_point_segment_distance(p, v[e], v[(e + 1) % m])
+                    for e in range(m if m > 2 else 1))
+        mask.append(d <= EPS_GEOM)
+        if mask[-1] and np.min(np.linalg.norm(v - p, axis=1)) > EPS_GEOM:
+            collinear.append(k)
+    return np.array(mask), np.array(collinear, dtype=int)
+
+
+def _near_boundary_points(rng, k):
+    # random points, plus points on and just off the segments between
+    # random pairs of them, so many lie on hull edges or near the band
+    pts = rng.standard_normal((k, 2))
+    i, j = rng.integers(0, k, (2, 3 * k))
+    s = rng.random(3 * k)[:, None]
+    on = pts[i] + s * (pts[j] - pts[i])
+    off = rng.choice([0.0, 3e-10, -3e-10, 3e-9, -3e-9], (3 * k, 2))
+    return np.vstack([pts, on + off])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hull_boundary_mask_matches_per_point_distances(seed):
+    rng = np.random.default_rng(seed)
+    line = rng.standard_normal(2)
+    sets = [
+        _near_boundary_points(rng, 3 + seed),
+        np.outer(rng.standard_normal(8), line) + rng.standard_normal(2),
+        np.repeat(_near_boundary_points(rng, 4), 3, axis=0),
+        np.repeat(rng.standard_normal((1, 2)), 1 + seed % 3, axis=0),
+        rng.standard_normal((1, 2)) + rng.choice([0.0, 5e-10, 5e-9], (4, 2)),
+    ]
+    for pts in sets:
+        hull = convex_hull_2d(pts)
+        mask, collinear = _per_point_boundary(hull, pts)
+        assert np.array_equal(hull.boundary_mask, mask)
+        if len(hull.vertices) > 1:  # one distinct point: only repeats count
+            assert np.array_equal(hull.collinear_boundary, collinear)
 
 
 def test_hull_handles_collinear_points():

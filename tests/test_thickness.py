@@ -156,10 +156,12 @@ def test_boundary_turning_check_regular():
 
 
 def test_thickness_value_matches_report():
-    for seed in range(10):
-        K = random_equilateral(7, seed)
-        assert np.isclose(thickness_value(K), injectivity_radius(K).thickness,
-                          atol=1e-14)
+    # `sample --stats` writes the report's thickness into the record header
+    # where plain `sample` writes thickness_value; the two must be the same bits
+    polygons = [random_equilateral(7, seed) for seed in range(10)]
+    polygons += [case.values[0] for case in _threshold_cases()]
+    for K in polygons:
+        assert injectivity_radius(K).thickness == thickness_value(K)
 
 
 def _threshold_cases():
