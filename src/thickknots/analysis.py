@@ -7,6 +7,8 @@ for the unknot, so "unknotted" reported downstream is a one-sided check.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NoGenericProjection
@@ -35,59 +37,73 @@ def _projection_frame(direction):
     return b1, b2, d
 
 
-def _segment_crossing(p, r, q, s, eps):
-    """Transverse interior intersection of 2D segments p+t*r, q+u*s.
+@functools.lru_cache(maxsize=32)
+def _edge_pairs(n):
+    """(i, j) index arrays of the non-adjacent edge pairs i < j, in row-major
+    order: np.triu_indices(n, 2) without the pair (0, n - 1)."""
+    i, j = np.triu_indices(n, 2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
-    Returns (t, u) in (eps, 1-eps)^2, None when disjoint, or False when the
-    configuration is non-generic (near-parallel overlap, endpoint grazing)."""
-    denom = r[0] * s[1] - r[1] * s[0]
+
+def _segment_crossings(p, r, q, s, scale, eps):
+    """Classify 2D segment pairs p+t*r, q+u*s, one pair per row; `scale` is
+    max(|r|, |s|, 1e-30) per row.
+
+    Returns (hit, bad, t, u): `hit` marks transverse interior intersections,
+    with (t, u) in (eps, 1-eps)^2; `bad` marks non-generic pairs
+    (near-parallel overlap, endpoint grazing).  Rows with neither are
+    disjoint, and their t and u are meaningless."""
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
     d = q - p
-    scale = max(np.linalg.norm(r), np.linalg.norm(s), 1e-30)
-    if abs(denom) <= eps * scale * scale:
-        # parallel: generic iff the lines are safely apart
-        off = abs(d[0] * r[1] - d[1] * r[0]) / scale
-        return None if off > eps * scale else False
-    t = (d[0] * s[1] - d[1] * s[0]) / denom
-    u = (d[0] * r[1] - d[1] * r[0]) / denom
-    if eps < t < 1 - eps and eps < u < 1 - eps:
-        return t, u
-    if -eps <= t <= 1 + eps and -eps <= u <= 1 + eps:
-        return False  # endpoint grazing: not generic
-    return None
+    u_num = d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0]
+    # parallel: generic iff the lines are safely apart (a NaN offset is not)
+    parallel = np.abs(denom) <= eps * scale * scale
+    overlap = parallel & ~(np.abs(u_num) / scale > eps * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (d[:, 0] * s[:, 1] - d[:, 1] * s[:, 0]) / denom
+        u = u_num / denom
+    hit = ~parallel & (eps < t) & (t < 1 - eps) & (eps < u) & (u < 1 - eps)
+    graze = (~parallel & ~hit & (-eps <= t) & (t <= 1 + eps)
+             & (-eps <= u) & (u <= 1 + eps))
+    return hit, overlap | graze, t, u
 
 
 def _diagram(K: KnotPolygon, direction):
     """Crossing list [(edge_i, t_i, edge_j, t_j, over_is_i)] for one
-    projection direction, or None when the projection is not generic."""
+    projection direction, or None when the projection is not generic.
+    All non-adjacent edge pairs are classified in one vectorized pass."""
     n = K.n
     b1, b2, d = _projection_frame(direction)
     P = np.column_stack([K.vertices @ b1, K.vertices @ b2])
     H = K.vertices @ d
     E = np.roll(P, -1, axis=0) - P
-    crossings = []
-    points = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            hit = _segment_crossing(P[i], E[i], P[j], E[j], EPS_GEOM * 1e3)
-            if hit is False:
-                return None
-            if hit is None:
-                continue
-            t, u = hit
-            zi = H[i] + t * (H[(i + 1) % n] - H[i])
-            zj = H[j] + u * (H[(j + 1) % n] - H[j])
-            if abs(zi - zj) <= EPS_GEOM:
-                return None  # heights tie: direction not generic
-            crossings.append((i, t, j, u, zi > zj))
-            points.append(P[i] + t * E[i])
-    # no triple points: crossing images pairwise separated
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            if np.linalg.norm(points[a] - points[b]) <= EPS_GEOM:
-                return None
-    return crossings
+    I, J = _edge_pairs(n)
+    # one np.linalg.norm per edge: the same bits as norming E[i] alone
+    norms = np.array([np.linalg.norm(e) for e in E])
+    scale = np.maximum(np.maximum(norms[I], norms[J]), 1e-30)
+    hit, bad, t, u = _segment_crossings(P[I], E[I], P[J], E[J], scale,
+                                        EPS_GEOM * 1e3)
+    if bad.any():
+        return None
+    I, J, t, u = I[hit], J[hit], t[hit], u[hit]
+    dH = np.roll(H, -1) - H
+    zi = H[I] + t * dH[I]
+    zj = H[J] + u * dH[J]
+    if np.any(np.abs(zi - zj) <= EPS_GEOM):
+        return None  # heights tie: direction not generic
+    # no triple points: crossing images pairwise separated; the squared
+    # distance prefilter keeps every pair the exact norm test could reject
+    points = P[I] + t[:, None] * E[I]
+    gap = points[:, None, :] - points[None, :, :]
+    near = np.argwhere(np.triu(np.sum(gap * gap, axis=2) <= (2 * EPS_GEOM) ** 2, 1))
+    for a, b in near:
+        if np.linalg.norm(points[a] - points[b]) <= EPS_GEOM:
+            return None
+    return list(zip(I.tolist(), t.tolist(), J.tolist(), u.tolist(), (zi > zj).tolist()))
 
 
 def _bareiss_det(M):
@@ -156,9 +172,14 @@ def alexander_determinant(K: KnotPolygon, start_direction=None) -> int:
     base = np.array([0.0, 0.0, 1.0]) if start_direction is None else (
         np.asarray(start_direction, dtype=float)
     )
-    rng = np.random.default_rng(0x5EED)
+    rng = None  # built only when the first direction is not generic
     for attempt in range(MAX_PROJECTION_TRIES):
-        d = base if attempt == 0 else base + 0.3 * rng.standard_normal(3)
+        if attempt == 0:
+            d = base
+        else:
+            if rng is None:
+                rng = np.random.default_rng(0x5EED)
+            d = base + 0.3 * rng.standard_normal(3)
         if np.linalg.norm(d) < 1e-6:
             continue
         crossings = _diagram(K, d)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,18 +83,16 @@ class NoiseDraw:
 @dataclass
 class StepOutcome:
     """Result of one chain step.  `thickness_after` is thickness_value(state),
-    computed on first read and cached: the accept test never needs it."""
+    computed on first read (and then kept on the polygon): the accept test
+    never needs it."""
 
     accepted: bool
     m: int
     state: KnotPolygon
-    _thickness: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def thickness_after(self) -> float:
-        if self._thickness is None:
-            self._thickness = thickness_value(self.state)
-        return self._thickness
+        return thickness_value(self.state)
 
 
 @functools.lru_cache(maxsize=32)

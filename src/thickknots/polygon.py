@@ -30,15 +30,18 @@ class KnotPolygon:
     Indexing is cyclic, so the edge ``k`` joins ``vertices[k]`` to
     ``vertices[(k + 1) % n]`` and no separate closure condition exists.
     Instances are immutable; every operation on them returns a new polygon.
+    That makes the lazily computed embeddedness flag and thickness (filled
+    by ``thickness.thickness_value``) safe to keep on the instance.
     """
 
-    __slots__ = ("vertices", "_embedded")
+    __slots__ = ("vertices", "_embedded", "_thickness")
 
     def __init__(self, vertices, _embedded=None):
         v = np.array(vertices, dtype=float)
         v.setflags(write=False)
         self.vertices = v
         self._embedded = _embedded
+        self._thickness = None
 
     @property
     def n(self):
@@ -63,9 +66,6 @@ class KnotPolygon:
         if self._embedded is None:
             self._embedded = _is_embedded(self.vertices)
         return self._embedded
-
-    def with_vertices(self, vertices):
-        return KnotPolygon(vertices)
 
     def __repr__(self):
         return f"KnotPolygon(n={self.n})"
@@ -259,25 +259,6 @@ class Hull2D:
     subdimensional: bool
     _input: np.ndarray = field(repr=False, default=None)
 
-    def supporting_lines(self):
-        """(point, outward unit normal) per hull edge; empty if degenerate."""
-        v = self.vertices
-        m = len(v)
-        if m < 2:
-            return []
-        if m == 2:
-            d = v[1] - v[0]
-            d = d / np.linalg.norm(d)
-            nrm = np.array([d[1], -d[0]])
-            return [(v[0], nrm), (v[0], -nrm)]
-        lines = []
-        for k in range(m):
-            a, b = v[k], v[(k + 1) % m]
-            d = b - a
-            d = d / np.linalg.norm(d)
-            lines.append((a, np.array([d[1], -d[0]])))  # outward for ccw
-        return lines
-
 
 def _point_segment_distance(p, a, b):
     d = b - a
@@ -300,12 +281,6 @@ def _boundary_distances(hull, pts):
     t = np.clip(np.sum(w * d, axis=2) / np.where(den < 1e-300, 1.0, den), 0.0, 1.0)
     closest = a[None, :, :] + t[..., None] * d[None, :, :]
     return np.min(np.linalg.norm(pts[:, None, :] - closest, axis=2), axis=1)
-
-
-def _point_line_distance(p, a, u):
-    """Distance from p to the line through a with unit direction u (2D)."""
-    w = p - a
-    return abs(w[0] * u[1] - w[1] * u[0])
 
 
 def convex_hull_2d(points) -> Hull2D:

@@ -232,12 +232,15 @@ def injectivity_radius(K: KnotPolygon) -> ThicknessReport:
 
 
 def thickness_value(K: KnotPolygon) -> float:
-    """Thickness only, skipping witness construction."""
-    r = float(np.min(_curvature_radii(K)))
-    dcsd = min(_pair_class_minima(K.vertices), default=np.inf)
-    if np.isfinite(dcsd):
-        r = min(r, dcsd / 2.0)
-    return r / K.n
+    """Thickness only, skipping witness construction.  Computed once per
+    polygon object and kept on it (polygons are immutable)."""
+    if K._thickness is None:
+        r = float(np.min(_curvature_radii(K)))
+        dcsd = min(_pair_class_minima(K.vertices), default=np.inf)
+        if np.isfinite(dcsd):
+            r = min(r, dcsd / 2.0)
+        K._thickness = r / K.n
+    return K._thickness
 
 
 def thickness_at_least(K: KnotPolygon, t: float) -> bool:

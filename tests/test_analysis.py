@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_equilateral
 from thickknots.analysis import (
-    _segment_crossing,
+    _diagram,
+    _segment_crossings,
     alexander_determinant,
     radius_of_gyration,
 )
+from thickknots.errors import NoGenericProjection
+from thickknots.mcmc import ChainConfig, run_chain
 from thickknots.moves import rotate_points
 from thickknots.polygon import KnotPolygon, regular_polygon, validate_polygon
 
@@ -32,6 +37,17 @@ def test_gyration_translation_invariant():
 
 
 # -- 2D segment crossing against a brute-force oracle ---------------------------
+
+
+def _segment_crossing(p, r, q, s, eps):
+    """The vectorized classifier on one pair: (t, u) for a transverse
+    crossing, None when disjoint, False when non-generic."""
+    scale = max(np.linalg.norm(r), np.linalg.norm(s), 1e-30)
+    hit, bad, t, u = _segment_crossings(p[None], r[None], q[None], s[None],
+                                        np.array([scale]), eps)
+    if bad[0]:
+        return False
+    return (t[0], u[0]) if hit[0] else None
 
 
 def _crossing_oracle(p, r, q, s, grid=2001):
@@ -79,6 +95,56 @@ def test_segment_crossing_shared_endpoint_is_degenerate():
     p, r = np.array([0.0, 0.0]), np.array([1.0, 0.0])
     q, s = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     assert _segment_crossing(p, r, q, s, 1e-9) is False
+
+
+def test_segment_crossing_parallel():
+    p, r = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+    assert _segment_crossing(p, r, np.array([0.5, 1.0]), r, 1e-9) is None
+    assert _segment_crossing(p, r, np.array([0.5, 0.0]), r, 1e-9) is False
+
+
+# -- crossing diagrams -------------------------------------------------------------
+
+
+def test_diagram_edge_cases():
+    # the octagon seen edge-on projects onto a segment: not generic
+    assert _diagram(regular_polygon(8), (1.0, 0.0, 0.0)) is None
+    # a triangle has no non-adjacent edges, a quadrilateral's cannot cross
+    assert _diagram(regular_polygon(3), (0.0, 0.0, 1.0)) == []
+    assert _diagram(regular_polygon(4), (0.0, 0.0, 1.0)) == []
+
+
+def _golden_polygons():
+    polygons = []
+    for n in (10, 32, 64):
+        for t in (0.0, 0.02):
+            cfg = ChainConfig(n=n, t=t, seed=n + int(1000 * t), steps=150, stride=50)
+            polygons += [K for _, K, _ in run_chain(cfg)]
+    polygons += [random_equilateral(n, seed) for n in (7, 20) for seed in range(3)]
+    return polygons
+
+
+def test_diagrams_match_golden_digest():
+    # sha256 over |Delta(-1)| and every crossing (edges, parameters as float
+    # hex, over flag) of 24 polygons at +z and two seeded directions; any
+    # change to the crossing classification or its order moves the digest
+    rng = np.random.default_rng(404)
+    directions = [None, rng.standard_normal(3), rng.standard_normal(3)]
+    h = hashlib.sha256()
+    for K in _golden_polygons():
+        for d in directions:
+            try:
+                det = alexander_determinant(K, start_direction=d)
+            except NoGenericProjection:
+                det = None
+            h.update(f"det={det};".encode())
+            crossings = _diagram(K, np.array([0.0, 0.0, 1.0]) if d is None else d)
+            if crossings is None:
+                h.update(b"non-generic;")
+                continue
+            for i, t, j, u, over in crossings:
+                h.update(f"{i} {float(t).hex()} {j} {float(u).hex()} {int(over)};".encode())
+    assert h.hexdigest() == "0e5d8890be0e672dd7124522e0016f8a7f456d8ff94632c45ffd13f2ee6377b4"
 
 
 # -- Alexander determinant -------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,21 @@ def test_analyze_observables(capsys, tmp_path):
     assert "determinant=5" in out
     assert "maybe_unknot=0" in out
     assert "rg=" in out and "thickness=" in out
+
+
+def test_analyze_matches_golden_digest(capsys, tmp_path):
+    # sha256 of `analyze` stdout on a fixed sample file: nine 32-gons, with
+    # Rg, thickness and the determinant of each printed to 17 digits
+    path = tmp_path / "s.txt"
+    assert run(capsys, "sample", "--n", "32", "--thickness", "0.02", "--steps", "200",
+               "--burn-in", "20", "--stride", "20", "--seed", "7",
+               "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "analyze", str(path),
+                       "--observables", "gyration,thickness,unknot")
+    assert code == 0
+    assert out.count("\n") == 9
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "df8386866fb5b80b311c507a53a6c1a58eb3cb28dcd14cc531c0897a06a77410")
 
 
 def test_analyze_unknown_observable_is_usage_error(capsys, tmp_path):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_equilateral
+from thickknots import thickness
 from thickknots.moves import ReflectionMove, apply_reflection
-from thickknots.polygon import regular_polygon, validate_polygon
+from thickknots.polygon import KnotPolygon, regular_polygon, validate_polygon
 from thickknots.thickness import (
     boundary_turning_check,
     doubly_critical_pairs,
@@ -162,6 +163,24 @@ def test_thickness_value_matches_report():
     polygons += [case.values[0] for case in _threshold_cases()]
     for K in polygons:
         assert injectivity_radius(K).thickness == thickness_value(K)
+
+
+def test_thickness_value_is_computed_once_per_polygon(monkeypatch):
+    K = random_equilateral(12, 3)
+    calls = []
+    radii = thickness._curvature_radii
+
+    def counting(P):
+        calls.append(P)
+        return radii(P)
+
+    monkeypatch.setattr(thickness, "_curvature_radii", counting)
+    first = thickness_value(K)
+    assert thickness_value(K) == first
+    assert len(calls) == 1
+    # a fresh polygon on the same vertices recomputes, to the same bits
+    assert thickness_value(KnotPolygon(K.vertices)) == first
+    assert len(calls) == 2
 
 
 def _threshold_cases():
