@@ -35,8 +35,9 @@ from .errors import (
 from .moves import (
     ReflectionMove,
     _arc_interior,
-    _axis_frame,
     _cross,
+    _frame,
+    _unit_axis,
     apply_arc_rotation,
     apply_hextuple,
     apply_reflection,
@@ -285,7 +286,7 @@ def find_edge_pair_move(K: KnotPolygon):
     if best is None:
         return None
     i, j, lo, hi, arc, eta = best
-    u, b1, b2 = _axis_frame(K.vertex(lo), K.vertex(hi))
+    b1, b2 = _frame(_unit_axis(K.vertex(lo), K.vertex(hi)))
     theta = float(np.arctan2(np.dot(eta, b2), np.dot(eta, b1)))
     return ReflectionMove(lo, hi, theta)
 

@@ -127,6 +127,7 @@ class _PhiloxSlot(threading.local):
 
 _PHILOX = _PhiloxSlot()
 _WORD = (1 << 64) - 1
+_TWO_PI = 2.0 * np.pi
 
 
 def draw_noise(cfg: ChainConfig, step: int) -> NoiseDraw:
@@ -136,11 +137,11 @@ def draw_noise(cfg: ChainConfig, step: int) -> NoiseDraw:
     gen = _PHILOX.keyed(int(cfg.seed), step)
     n, N = cfg.n, cfg.N
     ranks = gen.integers(n * (n - 1) // 2, size=N).tolist()
-    avals = gen.random(N).tolist()
-    thetas = gen.uniform(0.0, 2.0 * np.pi, size=N).tolist()
+    x = gen.random(2 * N).tolist()
     pairs = _pair_table(n)
     return NoiseDraw(records=tuple(
-        NoiseRecord(a, theta, pairs[r]) for r, a, theta in zip(ranks, avals, thetas)
+        NoiseRecord(a, _TWO_PI * r, pairs[k])
+        for k, a, r in zip(ranks, x[:N], x[N:])
     ))
 
 

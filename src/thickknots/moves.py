@@ -11,7 +11,7 @@ quadrilateral diagonals under control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,16 +21,21 @@ from .polygon import KnotPolygon
 _EPS_AXIS = 1e-9
 
 
-def _cross(a, b):
-    """a x b for two single 3-vectors.
+def _cross3(a, b):
+    """a x b for two 3-sequences of Python floats, as a tuple.
 
     The same products and differences as np.cross, in the same order, so
-    the result is bit-identical; working on Python floats skips np.cross's
-    heavy per-call overhead.
+    the result is bit-identical.
     """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _cross(a, b):
+    """a x b for two single 3-vectors, bit-identical to np.cross; working on
+    Python floats skips np.cross's heavy per-call overhead."""
+    return np.array(_cross3(a.tolist(), b.tolist()))
 
 
 def _norm(x):
@@ -42,41 +47,52 @@ def _norm(x):
     return math.sqrt(x.dot(x))
 
 
-@dataclass(frozen=True)
-class ReflectionMove:
-    """Reflect one open arc between v_i and v_j across the plane through both
-    vertices selected by the dihedral parameter theta.
-
-    arc_choice picks which arc moves: 'forward' (v_i toward v_j) or
-    'complement'.  The two options give globally congruent results, so the
-    sampler only ever uses the forward arc.
-    """
+class ReflectionMove(NamedTuple):
+    """Reflect the open arc from v_i forward to v_j across the plane through
+    both vertices selected by the dihedral parameter theta.  (Reflecting the
+    complementary arc instead gives a congruent polygon.)"""
 
     i: int
     j: int
     theta: float
-    arc_choice: str = "forward"
 
 
-def _axis_frame(vi, vj):
-    """Unit axis direction plus a deterministic orthonormal pair (b1, b2).
+def _unit_axis(vi, vj):
+    """Unit direction of the axis v_i -> v_j, as a float triple.
 
-    The seed vector is the lowest-index standard basis vector that is not
-    nearly parallel to the axis, so the frame depends only on the axis.
+    Raises DegenerateAxis when the endpoints coincide.
     """
     d = vj - vi
     norm = _norm(d)
     if norm < _EPS_AXIS:
         raise DegenerateAxis(f"axis endpoints coincide (|v_j - v_i| = {norm:g})")
-    u = d / norm
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        if abs(float(np.dot(e, u))) < 0.9:
-            break
-    b1 = e - float(np.dot(e, u)) * u
-    b1 = b1 / _norm(b1)
-    return u, b1, _cross(u, b1)
+    return [x / norm for x in d.tolist()]
+
+
+def _frame(u):
+    """Deterministic orthonormal pair (b1, b2) perpendicular to the unit
+    axis u, as float triples.
+
+    The seed vector is the lowest-index standard basis vector e_k that is
+    not nearly parallel to the axis (e_k . u is exactly u_k), so the frame
+    depends only on the axis.  Every operation is the elementwise one the
+    numpy form does, so the bits are the same.
+    """
+    u0, u1, u2 = u
+    k = 0 if abs(u0) < 0.9 else 1 if abs(u1) < 0.9 else 2
+    uk = u[k]
+    b = [0.0 - uk * u0, 0.0 - uk * u1, 0.0 - uk * u2]
+    b[k] = 1.0 - uk * uk
+    s = _norm(np.array(b))
+    b1 = (b[0] / s, b[1] / s, b[2] / s)
+    return b1, _cross3(u, b1)
+
+
+def _mirror_normal(u, theta):
+    """cos(theta) b1 + sin(theta) b2 for the frame of the unit axis u."""
+    (a0, a1, a2), (b0, b1, b2) = _frame(u)
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array((c * a0 + s * b0, c * a1 + s * b1, c * a2 + s * b2))
 
 
 def reflection_plane(K: KnotPolygon, i: int, j: int, theta: float):
@@ -85,16 +101,14 @@ def reflection_plane(K: KnotPolygon, i: int, j: int, theta: float):
     theta and theta + pi give the same plane; theta = 0 selects normal b1.
     """
     vi = K.vertex(i)
-    vj = K.vertex(j)
-    _, b1, b2 = _axis_frame(vi, vj)
-    normal = np.cos(theta) * b1 + np.sin(theta) * b2
-    return vi, normal
+    return vi, _mirror_normal(_unit_axis(vi, K.vertex(j)), theta)
 
 
-def reflect_points(P, point, normal):
-    """Mirror image of points P across the plane (point, unit normal)."""
+def reflect_points(P, point, normal, out=None):
+    """Mirror image of points P across the plane (point, unit normal),
+    written into `out` when one is given."""
     w = P - point
-    return P - 2.0 * (w @ normal)[..., None] * normal
+    return np.subtract(P, 2.0 * (w @ normal)[..., None] * normal, out=out)
 
 
 def rotate_points(P, point, axis_unit, angle):
@@ -122,18 +136,29 @@ def apply_reflection(K: KnotPolygon, move: ReflectionMove) -> KnotPolygon:
     """Reflect the forward open arc (i, j) across the selected plane.
 
     v_i and v_j stay fixed, so both boundary edges keep their lengths and
-    the move is its own inverse.
+    the move is its own inverse.  An empty arc returns K itself; a
+    degenerate axis raises even then.
     """
-    point, normal = reflection_plane(K, move.i, move.j, move.theta)
-    if move.arc_choice == "forward":
-        idx = _arc_interior(K.n, move.i, move.j)
+    i, j, theta = move
+    v = K.vertices
+    n = len(v)
+    i %= n
+    j %= n
+    vi = v[i]
+    u = _unit_axis(vi, v[j])
+    if i < j:  # every sampler pair: the arc is a basic slice, reflected in place
+        if j == i + 1:
+            return K
+        w = v.copy()
+        arc = w[i + 1:j]
+        reflect_points(arc, vi, _mirror_normal(u, theta), out=arc)
     else:
-        idx = _arc_interior(K.n, move.j, move.i)
-    if not idx:
-        return K
-    v = np.array(K.vertices)
-    v[idx] = reflect_points(v[idx], point, normal)
-    return KnotPolygon(v)
+        arc = _arc_interior(n, i, j)
+        if not arc:
+            return K
+        w = v.copy()
+        w[arc] = reflect_points(v[arc], vi, _mirror_normal(u, theta))
+    return KnotPolygon._adopt(w)
 
 
 def apply_arc_rotation(K: KnotPolygon, i: int, j: int, phi: float, alpha: float = 0.0):

@@ -43,6 +43,17 @@ class KnotPolygon:
         self._embedded = _embedded
         self._thickness = None
 
+    @classmethod
+    def _adopt(cls, v):
+        """A polygon over the float (n, 3) array v itself, not a copy; the
+        caller must hold no other reference to v."""
+        K = cls.__new__(cls)
+        v.setflags(write=False)
+        K.vertices = v
+        K._embedded = None
+        K._thickness = None
+        return K
+
     @property
     def n(self):
         return len(self.vertices)

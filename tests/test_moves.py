@@ -13,7 +13,7 @@ from thickknots.moves import (
     apply_reflection,
     reflection_plane,
 )
-from thickknots.polygon import interior_angles, regular_polygon, validate_polygon
+from thickknots.polygon import KnotPolygon, interior_angles, regular_polygon, validate_polygon
 from thickknots.thickness import thickness_value
 
 
@@ -192,3 +192,90 @@ def test_cross_and_norm_match_numpy_bit_for_bit():
         a, b = rng.standard_normal((2, 3)) * 10.0 ** rng.integers(-8, 9, (2, 1))
         assert np.array_equal(_cross(a, b), np.cross(a, b))
         assert _norm(a) == np.linalg.norm(a)
+
+
+# -- the reflection kernel against its first, all-numpy form --------------------
+
+
+def _reference_reflection(K, move):
+    """apply_reflection as first written: the axis frame from numpy 3-vectors
+    (np.zeros seed vector, np.dot, np.linalg.norm, np.cross, np.cos/np.sin)
+    and the forward arc as a fancy-index list into a copy of the vertices."""
+    i, j, theta = move
+    vi, vj = K.vertex(i), K.vertex(j)
+    d = vj - vi
+    norm = np.linalg.norm(d)
+    if norm < 1e-9:
+        raise DegenerateAxis("reference: axis endpoints coincide")
+    u = d / norm
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = 1.0
+        if abs(float(np.dot(e, u))) < 0.9:
+            break
+    b1 = e - float(np.dot(e, u)) * u
+    b1 = b1 / np.linalg.norm(b1)
+    b2 = np.cross(u, b1)
+    normal = np.cos(theta) * b1 + np.sin(theta) * b2
+    n = K.n
+    idx = [(i % n + k) % n for k in range(1, (j - i) % n)]
+    if not idx:
+        return K
+    v = np.array(K.vertices)
+    w = v[idx] - vi
+    v[idx] = v[idx] - 2.0 * (w @ normal)[..., None] * normal
+    return KnotPolygon(v)
+
+
+def _kernel_cases():
+    """(polygon, move) pairs: random pairs with i < j and i > j, wrap-around
+    and adjacent pairs, coincident endpoints, and axes whose first
+    component lies within 1e-6 of the 0.9 seed-vector threshold."""
+    rng = np.random.default_rng(2024)
+    for c in range(3000):
+        n = int(rng.integers(4, 40))
+        v = rng.standard_normal((n, 3))
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        kind = c % 6
+        i = int(rng.integers(n))
+        if kind == 0:                      # any ordered pair
+            j = int(rng.integers(n))
+        elif kind == 1:                    # wrap-around: i > j
+            i = int(rng.integers(1, n))
+            j = int(rng.integers(i))
+        elif kind == 2:                    # adjacent, including (n - 1, 0)
+            j = (i + 1) % n
+        elif kind == 3:                    # coincident endpoints
+            j = (i + int(rng.integers(2, n))) % n
+            v[j] = v[i]
+        else:                              # |u_0| near 0.9
+            j = (i + int(rng.integers(2, n))) % n
+            u0 = rng.choice([-1.0, 1.0]) * (0.9 + rng.uniform(-1e-6, 1e-6))
+            rest = rng.standard_normal(2)
+            rest *= np.sqrt(1.0 - u0 * u0) / np.linalg.norm(rest)
+            v[j] = v[i] + rng.uniform(0.5, 2.0) * np.array([u0, *rest])
+        yield KnotPolygon(v), ReflectionMove(i, j, theta)
+
+
+def test_reflection_kernel_matches_reference_bit_for_bit():
+    kinds = {"moved": 0, "identity": 0, "degenerate": 0, "near-seed": 0}
+    for K, mv in _kernel_cases():
+        try:
+            want = _reference_reflection(K, mv)
+        except DegenerateAxis:
+            with pytest.raises(DegenerateAxis):
+                apply_reflection(K, mv)
+            kinds["degenerate"] += 1
+            continue
+        got = apply_reflection(K, mv)
+        if want is K:
+            assert got is K
+            kinds["identity"] += 1
+            continue
+        assert np.array_equal(got.vertices, want.vertices), mv
+        u = K.vertex(mv.j) - K.vertex(mv.i)
+        u = u / np.linalg.norm(u)
+        if abs(abs(u[0]) - 0.9) < 1e-6:
+            kinds["near-seed"] += 1
+        kinds["moved"] += 1
+    assert min(kinds.values()) > 100, kinds
