@@ -107,7 +107,11 @@ class _PhiloxSlot(threading.local):
     overwrites its whole state (key, counter, buffer) on every call, so the
     draws depend on (seed, step) alone; reusing it avoids constructing a
     generator per step, which also pulls OS entropy for a seed sequence that
-    a keyed Philox never uses."""
+    a keyed Philox never uses.
+
+    The step goes in counter word 1 and word 0 starts at 0.  Philox advances
+    word 0 by one per 4-word block, so each step reads its own stream of
+    2**64 blocks and no two steps share a word."""
 
     gen = None
 
@@ -120,7 +124,7 @@ class _PhiloxSlot(threading.local):
             self.state = self.bits.state  # fresh: empty buffer, no cached uint32
         key, counter = self.state["state"]["key"], self.state["state"]["counter"]
         key[0], key[1] = seed & _WORD, seed >> 64
-        counter[0] = step
+        counter[0], counter[1] = 0, step
         self.bits.state = self.state
         return self.gen
 
@@ -132,8 +136,10 @@ _TWO_PI = 2.0 * np.pi
 
 def draw_noise(cfg: ChainConfig, step: int) -> NoiseDraw:
     """Noise for one step from a counter-based generator: the key is the
-    chain seed and the counter is the step index, so any step can be
-    regenerated independently.  Slot order within a step is fixed."""
+    chain seed and counter word 1 is the step index, so any step can be
+    regenerated independently and steps draw from disjoint streams.  Slot
+    order within a step is fixed: N pair ranks, then one random(2N) call
+    whose halves are the continuation variables a and the angles / 2 pi."""
     gen = _PHILOX.keyed(int(cfg.seed), step)
     n, N = cfg.n, cfg.N
     ranks = gen.integers(n * (n - 1) // 2, size=N).tolist()

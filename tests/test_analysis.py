@@ -144,7 +144,7 @@ def test_diagrams_match_golden_digest():
                 continue
             for i, t, j, u, over in crossings:
                 h.update(f"{i} {float(t).hex()} {j} {float(u).hex()} {int(over)};".encode())
-    assert h.hexdigest() == "0e5d8890be0e672dd7124522e0016f8a7f456d8ff94632c45ffd13f2ee6377b4"
+    assert h.hexdigest() == "953d0c7a26d4480c236ae999f20dca57d2a66b392ecab6eb3367b307939e93be"
 
 
 # -- Alexander determinant -------------------------------------------------------

@@ -118,7 +118,7 @@ def test_analyze_matches_golden_digest(capsys, tmp_path):
     assert code == 0
     assert out.count("\n") == 9
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "df8386866fb5b80b311c507a53a6c1a58eb3cb28dcd14cc531c0897a06a77410")
+        "c58152a34b097d893be4316aa793c950f8fa8d2a61ec322a214074fd4e865e27")
 
 
 def test_analyze_unknown_observable_is_usage_error(capsys, tmp_path):
