@@ -82,13 +82,15 @@ class NoiseDraw:
 
 @dataclass
 class StepOutcome:
-    """Result of one chain step.  `thickness_after` is thickness_value(state),
-    computed on first read (and then kept on the polygon): the accept test
-    never needs it."""
+    """Result of one chain step.  `degenerate` marks a rejection caused by a
+    degenerate reflection axis rather than the thickness bound.
+    `thickness_after` is thickness_value(state), computed on first read (and
+    then kept on the polygon): the accept test never needs it."""
 
     accepted: bool
     m: int
     state: KnotPolygon
+    degenerate: bool = False
 
     @property
     def thickness_after(self) -> float:
@@ -185,7 +187,7 @@ def chain_step(K: KnotPolygon, d: NoiseDraw, cfg: ChainConfig) -> StepOutcome:
         for mv in moves:
             state = apply_reflection(state, mv)
     except DegenerateAxis:
-        return StepOutcome(False, m, K)
+        return StepOutcome(False, m, K, degenerate=True)
     if cfg.t == 0 or thickness_at_least(state, cfg.t):
         return StepOutcome(True, m, state)
     return StepOutcome(False, m, K)
@@ -212,7 +214,11 @@ def renormalize(K: KnotPolygon, iters: int = 50) -> KnotPolygon:
 
 
 class Chain:
-    """Sequential sampler with periodic integrity audits."""
+    """Sequential sampler with periodic integrity audits.
+
+    `rejected` counts every rejected step; `rejected_degenerate` counts the
+    ones among them that a degenerate reflection axis caused.
+    """
 
     def __init__(self, cfg: ChainConfig):
         self.cfg = cfg
@@ -221,6 +227,7 @@ class Chain:
             validate_polygon(self.state.vertices)
         self.accepted = 0
         self.rejected = 0
+        self.rejected_degenerate = 0
         self.m_histogram = np.zeros(cfg.N + 1, dtype=np.int64)
         self.audits = 0
         self._since_audit = 0
@@ -271,6 +278,7 @@ class Chain:
                     out = StepOutcome(True, out.m, self.state)
             else:
                 self.rejected += 1
+                self.rejected_degenerate += out.degenerate
             if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.stride == 0:
                 yield step, self.state, out
 

@@ -127,7 +127,7 @@ def _is_embedded(vertices, tol=EPS_GEOM):
 
 
 def validate_polygon(vertices) -> KnotPolygon:
-    """Check vertex count and unit edges; embeddedness becomes a flag.
+    """Check vertex count and unit edges; embeddedness stays a lazy flag.
 
     Raises TooFewVertices or EdgeLengthViolation.  Crossing edges do not
     fail validation: non-embedded polygons are knots with zero thickness.
@@ -146,7 +146,7 @@ def validate_polygon(vertices) -> KnotPolygon:
     worst = int(np.argmax(dev))
     if dev[worst] > EPS_EDGE:
         raise EdgeLengthViolation(worst, float(dev[worst]))
-    return KnotPolygon(v, _embedded=_is_embedded(v))
+    return KnotPolygon(v)
 
 
 def regular_polygon(n: int) -> KnotPolygon:

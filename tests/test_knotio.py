@@ -40,6 +40,18 @@ def test_headers_round_trip(tmp_path):
     assert np.array_equal(back.polygon.vertices, K.vertices)
 
 
+def test_read_records_leaves_embeddedness_lazy(tmp_path, monkeypatch):
+    from thickknots import polygon
+
+    path = tmp_path / "knots.txt"
+    write_knots(str(path), [regular_polygon(6), random_equilateral(10, 1)])
+    calls = []
+    monkeypatch.setattr(polygon, "_is_embedded", lambda *a: calls.append(a) or True)
+    recs = read_records(str(path))
+    assert len(recs) == 2 and calls == []
+    assert recs[1].polygon.embedded and len(calls) == 1
+
+
 def test_mixed_polygons_and_records(tmp_path):
     path = tmp_path / "mix.txt"
     write_knots(str(path), [regular_polygon(4), KnotRecord(regular_polygon(6), {"n": "6"})])

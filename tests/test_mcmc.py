@@ -8,6 +8,8 @@ from thickknots.errors import ConfigError, TooFewSamples
 from thickknots.mcmc import (
     Chain,
     ChainConfig,
+    NoiseDraw,
+    NoiseRecord,
     chain_step,
     decode_noise,
     diagnostics,
@@ -15,7 +17,7 @@ from thickknots.mcmc import (
     renormalize,
     run_chain,
 )
-from thickknots.polygon import regular_polygon
+from thickknots.polygon import regular_polygon, validate_polygon
 from thickknots.thickness import thickness_value
 
 
@@ -99,6 +101,29 @@ def test_rejected_step_leaves_state_identical():
             break
     else:
         pytest.skip("no rejection in 50 steps")
+
+
+def test_degenerate_axis_rejections_are_counted_apart(monkeypatch):
+    # folded square with v0 = v2: the first move reflects about the axis
+    # (0, 2), whose endpoints coincide, and the next record stops the batch
+    K = validate_polygon(np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    stop = NoiseRecord(1.0, 0.0, (0, 1))
+    d = NoiseDraw(records=(NoiseRecord(0.0, 0.3, (0, 2)),) + (stop,) * 5)
+    monkeypatch.setattr(mcmc, "draw_noise", lambda cfg, step: d)
+    chain = Chain(ChainConfig(n=4, t=0.0, seed=0, steps=1, start=K))
+    ((_, state, out),) = list(chain.run())
+    assert not out.accepted and out.degenerate and out.m == 1
+    assert out.state is K and state is K
+    assert chain.rejected == 1 and chain.rejected_degenerate == 1
+
+
+def test_bound_rejections_are_not_counted_as_degenerate():
+    chain = Chain(ChainConfig(n=8, t=0.05, seed=3, steps=200))
+    for _ in chain.run():
+        pass
+    assert chain.rejected > 0
+    assert chain.rejected_degenerate == 0
 
 
 def test_accepted_states_meet_the_bound():
