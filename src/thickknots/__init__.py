@@ -13,28 +13,22 @@ from .errors import (
     NotCoplanarizable,
     ParseError,
     PipelineStall,
-    PointNotOnKnot,
     ThickKnotsError,
     TooFewSamples,
     TooFewVertices,
 )
 from .polygon import (
     KnotPolygon,
-    angle_class,
     convex_hull_2d,
     interior_angles,
-    point_on_knot,
     regular_angle,
     regular_polygon,
-    total_curvature,
     turning_angles,
     validate_polygon,
-    vertex_angles,
 )
 from .thickness import (
     DoublyCriticalPair,
     ThicknessReport,
-    boundary_turning_check,
     doubly_critical_pairs,
     injectivity_radius,
     minrad,

@@ -22,10 +22,6 @@ class DegenerateAngle(ThickKnotsError):
     pass
 
 
-class PointNotOnKnot(ThickKnotsError):
-    pass
-
-
 class DegenerateAxis(ThickKnotsError):
     pass
 

@@ -19,6 +19,7 @@ from .thickness import thickness_value
 
 THICKNESS_WARN = 1e-6
 _FMT = "%.17g"
+_HEADER_TYPES = {"n": int, "thickness": float}  # headers read_records parses
 
 
 @dataclass
@@ -89,7 +90,12 @@ def read_records(path):
             if "=" not in body:
                 raise ParseError(lineno, f"malformed header {body!r}")
             key, _, value = body.partition("=")
-            header[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            try:
+                _HEADER_TYPES.get(key, str)(value)
+            except ValueError:
+                raise ParseError(lineno, f"bad {key} header {value!r}") from None
+            header[key] = value
             continue
         parts = line.split()
         if len(parts) != 3:

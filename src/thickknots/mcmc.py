@@ -58,6 +58,13 @@ class ChainConfig:
             raise ConfigError("steps/burn_in must be >= 0 and stride >= 1")
         if self.t < 0:
             raise ConfigError("thickness bound must be >= 0")
+        if self.start is not None:
+            validate_polygon(self.start)
+            if self.start.n != self.n:
+                raise ConfigError(f"start has {self.start.n} vertices, not n={self.n}")
+            # the audit's slack, so a chain's final state is a valid start
+            if not thickness_at_least(self.start, self.t - 1e-12):
+                raise ConfigError(f"start is thinner than the bound t={self.t}")
         tmax = thickness_value(regular_polygon(self.n))
         if self.t >= tmax + 1e-12:
             warnings.warn(
@@ -223,8 +230,6 @@ class Chain:
     def __init__(self, cfg: ChainConfig):
         self.cfg = cfg
         self.state = cfg.start if cfg.start is not None else regular_polygon(cfg.n)
-        if cfg.start is not None:
-            validate_polygon(self.state.vertices)
         self.accepted = 0
         self.rejected = 0
         self.rejected_degenerate = 0

@@ -8,16 +8,11 @@ requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateAngle,
-    EdgeLengthViolation,
-    PointNotOnKnot,
-    TooFewVertices,
-)
+from .errors import DegenerateAngle, EdgeLengthViolation, TooFewVertices
 
 EPS_EDGE = 1e-9     # unit-edge validation band
 EPS_GEOM = 1e-9     # collinearity / on-boundary band for planar tests
@@ -60,10 +55,6 @@ class KnotPolygon:
 
     def vertex(self, i):
         return self.vertices[i % self.n]
-
-    def edge_vector(self, i):
-        n = self.n
-        return self.vertices[(i + 1) % n] - self.vertices[i % n]
 
     def edge_vectors(self):
         return np.roll(self.vertices, -1, axis=0) - self.vertices
@@ -182,74 +173,6 @@ def turning_angles(K: KnotPolygon) -> np.ndarray:
     return np.pi - interior_angles(K)
 
 
-def vertex_angles(K: KnotPolygon, i: int):
-    """(interior, turning) angles at vertex i."""
-    ang = interior_angles(K)[i % K.n]
-    return float(ang), float(np.pi - ang)
-
-
-def angle_class(K: KnotPolygon, i: int) -> str:
-    """'small', 'regular' or 'large' relative to the regular n-gon angle."""
-    interior, _ = vertex_angles(K, i)
-    reg = regular_angle(K.n)
-    if abs(interior - reg) <= EPS_ANGLE:
-        return "regular"
-    return "large" if interior > reg else "small"
-
-
-# ---------------------------------------------------------------------------
-# points on the knot: a vertex index, or (edge index, parameter in [0, 1])
-
-def _as_position(K, p):
-    """Normalize a point-on-knot address to a scalar position in [0, n)."""
-    n = K.n
-    if isinstance(p, (int, np.integer)):
-        return float(p % n)
-    try:
-        edge, t = p
-    except (TypeError, ValueError):
-        raise PointNotOnKnot(f"bad point address {p!r}")
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise PointNotOnKnot(f"edge parameter {t} outside [0, 1]")
-    return (int(edge) % n + t) % n
-
-
-def point_on_knot(K, p):
-    """3-space location of a point address."""
-    pos = _as_position(K, p)
-    edge = int(np.floor(pos))
-    t = pos - edge
-    return K.vertex(edge) + t * K.edge_vector(edge)
-
-
-def total_curvature(K: KnotPolygon, a, b) -> float:
-    """Minimum over the two arcs from a to b of the summed turning angles.
-
-    Turning at a and/or b is included whenever that endpoint is a vertex.
-    The empty arc (a == b) contributes 0.
-    """
-    n = K.n
-    pa = _as_position(K, a)
-    pb = _as_position(K, b)
-    if abs(pa - pb) < 1e-15 or abs(abs(pa - pb) - n) < 1e-15:
-        return 0.0
-    turn = turning_angles(K)
-
-    def arc_sum(lo, hi):
-        # turnings of vertices with cyclic position in [lo, hi]; integer
-        # endpoints (i.e. vertex endpoints) are included, matching the
-        # definition's "including the turning angles at a and/or b"
-        span = (hi - lo) % n
-        total = 0.0
-        for m in range(n):
-            if (m - lo) % n <= span + 1e-12:
-                total += turn[m]
-        return total
-
-    return float(min(arc_sum(pa, pb), arc_sum(pb, pa)))
-
-
 # ---------------------------------------------------------------------------
 # planar convex hulls
 
@@ -258,17 +181,14 @@ def total_curvature(K: KnotPolygon, a, b) -> float:
 class Hull2D:
     """Strictly convex hull of a planar point set.
 
-    ``vertices`` are hull corners in counterclockwise order; points within
-    EPS_GEOM of the boundary but not corners are listed in
-    ``collinear_boundary``.  ``subdimensional`` marks hulls with empty
-    interior (all points within the collinearity band of one line).
+    ``vertices`` are hull corners in counterclockwise order.
+    ``subdimensional`` marks hulls with empty interior (all points within
+    the collinearity band of one line).
     """
 
     vertices: np.ndarray
     boundary_mask: np.ndarray       # per input point: on boundary within band
-    collinear_boundary: np.ndarray  # input indices on boundary, not corners
     subdimensional: bool
-    _input: np.ndarray = field(repr=False, default=None)
 
 
 def _point_segment_distance(p, a, b):
@@ -313,11 +233,7 @@ def convex_hull_2d(points) -> Hull2D:
     P = sorted_pts[uniq]
 
     if len(P) == 1:
-        verts = P.copy()
-        bmask = _boundary_distances(verts, pts) <= EPS_GEOM
-        extra = np.array([k for k in range(n) if bmask[k]
-                          and np.linalg.norm(pts[k] - P[0]) > 1e-300], dtype=int)
-        return Hull2D(verts, bmask, extra, True, pts)
+        return Hull2D(P, _boundary_distances(P, pts) <= EPS_GEOM, True)
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -349,7 +265,4 @@ def convex_hull_2d(points) -> Hull2D:
                 break
         hull = hull[keep]
 
-    bmask = _boundary_distances(hull, pts) <= EPS_GEOM
-    corner_dist = np.linalg.norm(hull[None, :, :] - pts[:, None, :], axis=2)
-    corner = bmask & (np.min(corner_dist, axis=1) <= EPS_GEOM)
-    return Hull2D(hull, bmask, np.flatnonzero(bmask & ~corner), len(hull) <= 2, pts)
+    return Hull2D(hull, _boundary_distances(hull, pts) <= EPS_GEOM, len(hull) <= 2)

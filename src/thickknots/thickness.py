@@ -56,14 +56,10 @@ def _curvature_radii(K: KnotPolygon):
     return np.where(ang >= np.pi - 1e-12, np.inf, 0.5 * np.tan(ang / 2.0))
 
 
-def _vertex_vertex_candidates(V, fwd=None, bwd=None):
+def _vertex_vertex_candidates(V, fwd, bwd):
     """Masks and distances for non-adjacent vertex pairs that are mutual
     one-sided extrema of the distance function. Returns (mask, dist) (n, n)."""
     n = len(V)
-    if fwd is None:
-        fwd = np.roll(V, -1, axis=0) - V  # v_{i+1} - v_i
-    if bwd is None:
-        bwd = np.roll(V, 1, axis=0) - V   # v_{i-1} - v_i
     diff = V[:, None, :] - V[None, :, :]  # v_i - v_j
     dist = np.linalg.norm(diff, axis=2)
 
@@ -79,14 +75,10 @@ def _vertex_vertex_candidates(V, fwd=None, bwd=None):
     return mask, dist
 
 
-def _vertex_edge_candidates(V, fwd=None, bwd=None):
+def _vertex_edge_candidates(V, fwd, bwd):
     """Perpendicular-foot candidates (vertex k, edge j). Returns
     (mask, t, dist) of shape (n, n)."""
     n = len(V)
-    if fwd is None:
-        fwd = np.roll(V, -1, axis=0) - V
-    if bwd is None:
-        bwd = np.roll(V, 1, axis=0) - V
     E = fwd
     elen2 = np.sum(E * E, axis=1)
     w = V[:, None, :] - V[None, :, :]               # v_k - v_j
@@ -106,13 +98,13 @@ def _vertex_edge_candidates(V, fwd=None, bwd=None):
     return mask, t, dist
 
 
-def _edge_edge_candidates(V, fwd=None):
+def _edge_edge_candidates(V, fwd):
     """Mutual-perpendicular candidates between non-adjacent edges.  Returns
     (mask, s, t, dist) (n, n) plus a list of parallel-overlap pairs handled
     separately."""
     n = len(V)
     P0 = V
-    U = np.roll(V, -1, axis=0) - V if fwd is None else fwd
+    U = fwd
     w = P0[:, None, :] - P0[None, :, :]
     a = np.sum(U * U, axis=1)
     b = np.einsum("id,jd->ij", U, U)
@@ -159,66 +151,69 @@ def _edge_edge_candidates(V, fwd=None):
     return mask, s, t, dist, parallel
 
 
+def _masked_class(kind, mask, dist, s=None, t=None):
+    """A pair class over (n, n) candidate arrays: the distances dist[mask],
+    and a builder whose slice picks candidates in the same (np.argwhere)
+    order.  Candidate (i, j) pairs location i with location j; s and t, where
+    given, hold their edge parameters, and a location without one is a
+    vertex."""
+    def loc(k, par, i, j):
+        return int(k) if par is None else (int(k), float(par[i, j]))
+
+    def build(ks):
+        return [DoublyCriticalPair(kind, loc(i, s, i, j), loc(j, t, i, j), float(dist[i, j]))
+                for i, j in np.argwhere(mask)[ks]]
+    return dist[mask], build
+
+
+def _pair_classes(V):
+    """The doubly critical pairs of V, one class at a time in the order
+    vertex-vertex, vertex-edge, edge-edge, parallel edge-edge.  Each
+    non-empty class is (dist, build): its candidate distances as a 1-d array,
+    and build(ks), the DoublyCriticalPairs of the candidates that the slice
+    ks picks out of dist.  Classes are computed lazily, so a caller can stop
+    after any, and pairs are built only on request."""
+    fwd = np.roll(V, -1, axis=0) - V  # v_{i+1} - v_i
+    bwd = np.roll(V, 1, axis=0) - V   # v_{i-1} - v_i
+    mask, dist = _vertex_vertex_candidates(V, fwd, bwd)
+    if mask.any():
+        yield _masked_class("vertex-vertex", mask, dist)
+    mask, t, dist = _vertex_edge_candidates(V, fwd, bwd)
+    if mask.any():
+        yield _masked_class("vertex-edge", mask, dist, t=t)
+    mask, s, t, dist, parallel = _edge_edge_candidates(V, fwd)
+    if mask.any():
+        yield _masked_class("edge-edge", mask, dist, s=s, t=t)
+    if parallel:
+        yield np.array([d for *_, d in parallel]), lambda ks: [
+            DoublyCriticalPair("edge-edge", (i, sm), (j, tm), d)
+            for i, j, sm, tm, d in parallel[ks]]
+
+
 def doubly_critical_pairs(K: KnotPolygon):
     """All doubly critical pairs, sorted by distance ascending."""
-    V = K.vertices
-    pairs = []
-
-    mask, dist = _vertex_vertex_candidates(V)
-    for i, j in np.argwhere(mask):
-        pairs.append(DoublyCriticalPair("vertex-vertex", int(i), int(j), float(dist[i, j])))
-
-    mask, t, dist = _vertex_edge_candidates(V)
-    for k, j in np.argwhere(mask):
-        pairs.append(
-            DoublyCriticalPair("vertex-edge", int(k), (int(j), float(t[k, j])), float(dist[k, j]))
-        )
-
-    mask, s, t, dist, parallel = _edge_edge_candidates(V)
-    for i, j in np.argwhere(mask):
-        pairs.append(
-            DoublyCriticalPair(
-                "edge-edge", (int(i), float(s[i, j])), (int(j), float(t[i, j])), float(dist[i, j])
-            )
-        )
-    for i, j, sm, tm, d in parallel:
-        pairs.append(DoublyCriticalPair("edge-edge", (i, sm), (j, tm), d))
-
+    pairs = [p for _, build in _pair_classes(K.vertices) for p in build(slice(None))]
     pairs.sort(key=lambda p: p.distance)
     return pairs
 
 
-def _pair_class_minima(V):
-    """Smallest doubly-critical distance of each pair class that has a
-    candidate, computed lazily in the order vertex-vertex, vertex-edge,
-    edge-edge, parallel edge-edge, so a caller can stop after any class."""
-    fwd = np.roll(V, -1, axis=0) - V
-    bwd = np.roll(V, 1, axis=0) - V
-    mask, dist = _vertex_vertex_candidates(V, fwd, bwd)
-    if mask.any():
-        yield float(dist[mask].min())
-    mask, _, dist = _vertex_edge_candidates(V, fwd, bwd)
-    if mask.any():
-        yield float(dist[mask].min())
-    mask, _, _, dist, parallel = _edge_edge_candidates(V, fwd)
-    if mask.any():
-        yield float(dist[mask].min())
-    for _, _, _, _, d in parallel:
-        yield d
-
-
 def injectivity_radius(K: KnotPolygon) -> ThicknessReport:
-    """Full report: R(K) = min(MinRad, dcsd/2), thickness = R / arclength."""
+    """Full report: R(K) = min(MinRad, dcsd/2), thickness = R / arclength.
+
+    The witness ``dcsd_pair`` is the first closest candidate in class order,
+    which is ``doubly_critical_pairs(K)[0]``; it is the only pair built."""
     mr, mk = minrad(K)
-    pairs = doubly_critical_pairs(K)
-    if pairs:
-        dcsd = pairs[0].distance
-        dcsd_pair = pairs[0]
+    best = None  # (distance, build, index) of the witness so far
+    for dist, build in _pair_classes(K.vertices):
+        k = int(np.argmin(dist))
+        if best is None or dist[k] < best[0]:
+            best = dist[k], build, k
+    dcsd, dcsd_pair, r = None, None, mr
+    if best is not None:
+        _, build, k = best
+        dcsd_pair = build(slice(k, k + 1))[0]
+        dcsd = dcsd_pair.distance
         r = min(mr, dcsd / 2.0)
-    else:
-        dcsd = None
-        dcsd_pair = None
-        r = mr
     n = K.n
     return ThicknessReport(
         minrad=mr,
@@ -236,7 +231,8 @@ def thickness_value(K: KnotPolygon) -> float:
     polygon object and kept on it (polygons are immutable)."""
     if K._thickness is None:
         r = float(np.min(_curvature_radii(K)))
-        dcsd = min(_pair_class_minima(K.vertices), default=np.inf)
+        dcsd = min((float(dist.min()) for dist, _ in _pair_classes(K.vertices)),
+                   default=np.inf)
         if np.isfinite(dcsd):
             r = min(r, dcsd / 2.0)
         K._thickness = r / K.n
@@ -254,7 +250,8 @@ def thickness_at_least(K: KnotPolygon, t: float) -> bool:
     """
     n = K.n
     return (float(np.min(_curvature_radii(K))) / n >= t
-            and all((d / 2.0) / n >= t for d in _pair_class_minima(K.vertices)))
+            and all((float(dist.min()) / 2.0) / n >= t
+                    for dist, _ in _pair_classes(K.vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +371,3 @@ def radius_via_tc(K: KnotPolygon) -> float:
                 best = min(best, float(np.linalg.norm(V[k] - V[l])))
 
     return min(mr, best / 2.0)
-
-
-def boundary_turning_check(K: KnotPolygon, tol=1e-9) -> bool:
-    """Vertex pairs separated by exactly pi of turning are no closer than
-    twice the curvature radius."""
-    V = K.vertices
-    n = K.n
-    turn = turning_angles(K)
-    prefix = np.concatenate([[0.0], np.cumsum(turn)])
-    total = prefix[-1]
-    mr, _ = minrad(K)
-    for k in range(n):
-        for l in range(k + 1, n):
-            fw = _cyclic_sum(prefix, total, k, l)
-            bw = _cyclic_sum(prefix, total, l, k)
-            if abs(min(fw, bw) - np.pi) <= 1e-12:
-                if np.linalg.norm(V[k] - V[l]) < 2.0 * mr - tol:
-                    return False
-    return True

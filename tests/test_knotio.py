@@ -107,6 +107,16 @@ def test_header_n_mismatch(tmp_path):
         read_records(str(path))
 
 
+@pytest.mark.parametrize("key,value", [("n", "abc"), ("n", "4.0"), ("thickness", "thick")])
+def test_header_bad_value(tmp_path, key, value):
+    # the second record's header sits on line 6, after 4 vertices and a blank
+    path = tmp_path / "bad.txt"
+    write_knots(str(path), [regular_polygon(4), KnotRecord(regular_polygon(4), {key: value})])
+    with pytest.raises(ParseError) as ei:
+        read_records(str(path))
+    assert ei.value.line == 6
+
+
 def test_stale_thickness_header_warns(tmp_path):
     K = regular_polygon(6)
     path = tmp_path / "stale.txt"

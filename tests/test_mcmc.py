@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import random_equilateral
 from thickknots import mcmc
 from thickknots.errors import ConfigError, TooFewSamples
 from thickknots.mcmc import (
@@ -213,6 +214,23 @@ def test_renormalize_restores_unit_edges():
 
     R = renormalize(KnotPolygon(v))
     assert np.max(np.abs(R.edge_lengths() - 1.0)) < 1e-13
+
+
+def test_start_with_other_n_is_rejected():
+    for m in (6, 12):
+        with pytest.raises(ConfigError):
+            ChainConfig(n=10, t=0.0, seed=0, steps=10, start=regular_polygon(m))
+
+
+def test_start_outside_the_space_is_rejected():
+    with pytest.raises(ConfigError):
+        ChainConfig(n=10, t=0.05, seed=0, steps=10, start=random_equilateral(10, 0))
+    # the bound itself is inside, and a chain's final state is a valid start
+    ChainConfig(n=10, t=thickness_value(regular_polygon(10)), seed=0, steps=10,
+                start=regular_polygon(10))
+    for _, K, _ in run_chain(ChainConfig(n=10, t=0.05, seed=5, steps=300)):
+        pass
+    ChainConfig(n=10, t=0.05, seed=6, steps=10, start=K)
 
 
 def test_custom_start_state(figure_eight):

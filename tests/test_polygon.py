@@ -3,24 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_equilateral
-from thickknots.errors import (
-    EdgeLengthViolation,
-    PointNotOnKnot,
-    TooFewVertices,
-)
+from thickknots.errors import EdgeLengthViolation, TooFewVertices
 from thickknots.polygon import (
     EPS_GEOM,
     _point_segment_distance,
-    angle_class,
     convex_hull_2d,
     interior_angles,
-    point_on_knot,
     regular_angle,
     regular_polygon,
-    total_curvature,
     turning_angles,
     validate_polygon,
-    vertex_angles,
 )
 
 
@@ -64,44 +56,6 @@ def test_interior_angles_of_regular_polygon(n):
     assert np.isclose(np.sum(turning_angles(K)), 2.0 * np.pi, atol=1e-12)
 
 
-def test_angle_class_on_perturbed_polygon():
-    K = regular_polygon(8)
-    assert all(angle_class(K, i) == "regular" for i in range(8))
-    # fold one arc far out of plane: some angle must leave the regular band
-    from thickknots.moves import ReflectionMove, apply_reflection
-
-    K2 = apply_reflection(K, ReflectionMove(0, 3, 1.0))
-    classes = {angle_class(K2, i) for i in range(8)}
-    assert classes != {"regular"}
-
-
-def test_point_on_knot_addresses(square):
-    assert np.allclose(point_on_knot(square, 2), square.vertices[2])
-    assert np.allclose(point_on_knot(square, (0, 0.5)), [0.5, 0.0, 0.0])
-    # edge end coincides with the next vertex
-    assert np.allclose(point_on_knot(square, (1, 1.0)), square.vertices[2])
-    with pytest.raises(PointNotOnKnot):
-        point_on_knot(square, (0, 1.5))
-    with pytest.raises(PointNotOnKnot):
-        point_on_knot(square, "nowhere")
-
-
-def test_vertex_angles_sum(square):
-    interior, turning = vertex_angles(square, 0)
-    assert np.isclose(interior + turning, np.pi)
-    assert np.isclose(interior, np.pi / 2)
-
-
-def test_total_curvature_two_arcs(square):
-    # pi/2 per vertex, endpoint turnings included: arc 0..2 holds 3 vertices
-    assert np.isclose(total_curvature(square, 0, 2), 3 * np.pi / 2)
-    # adjacent vertices: both endpoints still count
-    assert np.isclose(total_curvature(square, 0, 1), np.pi)
-    # interior edge points exclude the vertex turnings beyond them
-    assert np.isclose(total_curvature(square, (0, 0.5), (1, 0.5)), np.pi / 2)
-    assert np.isclose(total_curvature(square, 2, 2), 0.0)
-
-
 # -- convex hull against a brute-force oracle --------------------------------
 
 
@@ -130,21 +84,18 @@ def test_hull_boundary_matches_oracle(seed):
 
 
 def _per_point_boundary(hull, pts):
-    """The boundary mask and the non-corner boundary points, one point and
-    one hull edge at a time."""
+    """The boundary mask, one point and one hull edge at a time."""
     v = hull.vertices
     m = len(v)
-    mask, collinear = [], []
-    for k, p in enumerate(pts):
+    mask = []
+    for p in pts:
         if m == 1:
             d = float(np.linalg.norm(p - v[0]))
         else:
             d = min(_point_segment_distance(p, v[e], v[(e + 1) % m])
                     for e in range(m if m > 2 else 1))
         mask.append(d <= EPS_GEOM)
-        if mask[-1] and np.min(np.linalg.norm(v - p, axis=1)) > EPS_GEOM:
-            collinear.append(k)
-    return np.array(mask), np.array(collinear, dtype=int)
+    return np.array(mask)
 
 
 def _near_boundary_points(rng, k):
@@ -171,10 +122,7 @@ def test_hull_boundary_mask_matches_per_point_distances(seed):
     ]
     for pts in sets:
         hull = convex_hull_2d(pts)
-        mask, collinear = _per_point_boundary(hull, pts)
-        assert np.array_equal(hull.boundary_mask, mask)
-        if len(hull.vertices) > 1:  # one distinct point: only repeats count
-            assert np.array_equal(hull.collinear_boundary, collinear)
+        assert np.array_equal(hull.boundary_mask, _per_point_boundary(hull, pts))
 
 
 def test_hull_handles_collinear_points():

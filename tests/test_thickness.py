@@ -1,13 +1,16 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_equilateral
 from thickknots import thickness
+from thickknots.mcmc import ChainConfig, run_chain
 from thickknots.moves import ReflectionMove, apply_reflection
 from thickknots.polygon import KnotPolygon, regular_polygon, validate_polygon
 from thickknots.thickness import (
-    boundary_turning_check,
     doubly_critical_pairs,
     injectivity_radius,
     minrad,
@@ -129,6 +132,7 @@ def test_dcsd_matches_brute_force(seed):
         # larger; when a pair realizes the global min the values agree
         assert pairs[0].distance >= oracle - 1e-7
         rep = injectivity_radius(K)
+        assert rep.dcsd_pair == pairs[0]
         assert rep.injectivity_radius <= min(rep.minrad, oracle / 2.0) + 1e-7
     # when the radius is distance-limited the oracle must confirm it
     rep = injectivity_radius(K)
@@ -150,10 +154,6 @@ def test_radius_routes_agree_on_random_polygons(n, seed):
 def test_radius_routes_agree_on_regular_polygons(n):
     K = regular_polygon(n)
     assert abs(injectivity_radius(K).injectivity_radius - radius_via_tc(K)) <= 1e-12
-
-
-def test_boundary_turning_check_regular():
-    assert boundary_turning_check(regular_polygon(12))
 
 
 def test_thickness_value_matches_report():
@@ -215,3 +215,30 @@ def test_reflection_never_beats_regular_thickness(seed, theta):
     t0 = thickness_value(K)
     K2 = apply_reflection(K, ReflectionMove(0, 4, theta))
     assert thickness_value(K2) <= t0 + 1e-12
+
+
+def _exact(x):
+    """Exact text of a report value: floats as float.hex, tuples by item."""
+    if isinstance(x, tuple):
+        return "(" + ",".join(_exact(v) for v in x) + ")"
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(x)
+
+
+def test_reports_match_golden_digest():
+    # sha256 over every ThicknessReport field, dcsd_pair's kind, locations
+    # and distance included, for the threshold cases and chain samples at
+    # n = 32 and 64; any change to a value or to which pair is the witness
+    # moves the digest
+    polygons = [case.values[0] for case in _threshold_cases()]
+    for n, t, seed in ((32, 0.02, 7), (64, 0.01, 8)):
+        cfg = ChainConfig(n=n, t=t, seed=seed, steps=300, stride=30)
+        polygons += [K for _, K, _ in run_chain(cfg)]
+    h = hashlib.sha256()
+    for K in polygons:
+        h.update(_exact(dataclasses.astuple(injectivity_radius(K))).encode())
+    assert h.hexdigest() == (
+        "161d253065833c792de2af8c655066046e499871da36293570e5c4d7e790ab9c")
